@@ -91,8 +91,8 @@ BENCHMARK(BM_PerRepair_PreparedEvaluator)
     ->Range(8, 4096)
     ->Unit(benchmark::kMicrosecond);
 
-// The hoisted one-off cost: compiling (validation, typing, active domain,
-// tuple indexes). Amortized over a repair space this rounds to zero.
+// The hoisted one-off cost: compiling (validation, typing, active domain).
+// Amortized over a repair space this rounds to zero.
 void BM_PreparedCompile(benchmark::State& state) {
   int groups = static_cast<int>(state.range(0));
   GeneratedInstance instance = MakeKeyGroupsInstance(groups, kGroupSize);

@@ -527,6 +527,12 @@ class Shell {
                                            : CqaRequest::kOpenAnswers;
     CqaPlan plan = session_->Explain(*query, *priority_, family_, request);
     std::printf("%s\n", plan.ToString().c_str());
+    if (plan.tier == CqaTier::kEnumeration) {
+      std::printf("%s\n", ExplainComponentSplit(snapshot_->problem(),
+                                                 *priority_, family_, *query)
+                               .ToString()
+                               .c_str());
+    }
     return Status::Ok();
   }
 

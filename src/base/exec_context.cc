@@ -8,6 +8,9 @@ std::string ExecutionStatsSnapshot::ToString() const {
   out += " bytes_charged=" + std::to_string(bytes_charged);
   out += " peak_bytes=" + std::to_string(peak_bytes);
   out += " polls=" + std::to_string(polls);
+  out += " pruned=" + std::to_string(components_pruned);
+  out += " collapsed=" + std::to_string(components_collapsed);
+  out += " enumerated=" + std::to_string(components_enumerated);
   return out;
 }
 
@@ -27,6 +30,11 @@ ExecutionStatsSnapshot ExecutionStats::Snapshot() const {
   snap.bytes_charged = bytes_charged_.load(std::memory_order_relaxed);
   snap.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
   snap.polls = polls_.load(std::memory_order_relaxed);
+  snap.components_pruned = components_pruned_.load(std::memory_order_relaxed);
+  snap.components_collapsed =
+      components_collapsed_.load(std::memory_order_relaxed);
+  snap.components_enumerated =
+      components_enumerated_.load(std::memory_order_relaxed);
   return snap;
 }
 

@@ -78,8 +78,16 @@ struct ExecutionStatsSnapshot {
   uint64_t bytes_charged = 0;  // cumulative arbiter admissions
   uint64_t peak_bytes = 0;     // high-water mark of concurrently held bytes
   uint64_t polls = 0;          // ShouldStop() calls observed
+  // How tier 2 split the repair product (cqa/cqa.h ObservableComponents):
+  // components no atom of the request can observe, components whose
+  // total projected priority fixed their one member (P4), and components
+  // whose family was enumerated.
+  uint64_t components_pruned = 0;
+  uint64_t components_collapsed = 0;
+  uint64_t components_enumerated = 0;
 
-  // "components=3 repairs=1204 bytes_charged=65536 peak_bytes=4096 polls=..."
+  // "components=3 repairs=1204 bytes_charged=65536 peak_bytes=4096 polls=...
+  // pruned=210 collapsed=4 enumerated=2"
   std::string ToString() const;
 };
 
@@ -90,6 +98,13 @@ class ExecutionStats {
   }
   void AddRepairsExamined(uint64_t n = 1) {
     repairs_examined_.fetch_add(n, std::memory_order_relaxed);
+  }
+  // One tier-2 product's component split (see ExecutionStatsSnapshot).
+  void AddComponentSplit(uint64_t pruned, uint64_t collapsed,
+                         uint64_t enumerated) {
+    components_pruned_.fetch_add(pruned, std::memory_order_relaxed);
+    components_collapsed_.fetch_add(collapsed, std::memory_order_relaxed);
+    components_enumerated_.fetch_add(enumerated, std::memory_order_relaxed);
   }
   // Records an admitted charge of `bytes` with `in_use_after` bytes held
   // across the owning arbiter after the charge.
@@ -111,6 +126,9 @@ class ExecutionStats {
   std::atomic<uint64_t> bytes_charged_{0};
   std::atomic<uint64_t> peak_bytes_{0};
   std::atomic<uint64_t> polls_{0};
+  std::atomic<uint64_t> components_pruned_{0};
+  std::atomic<uint64_t> components_collapsed_{0};
+  std::atomic<uint64_t> components_enumerated_{0};
 };
 
 // Thread-safe byte-accounting against a fixed limit; the unified successor

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "base/failpoint.h"
+#include "core/algorithm1.h"
 #include "core/optimality.h"
 #include "graph/components.h"
 #include "graph/mis.h"
@@ -386,6 +387,143 @@ bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
   return false;
 }
 
+namespace {
+
+// The listed components of one product, split by what they need: the
+// collapsed ones are already scattered into `base`, the open ones still
+// need their family enumerated under `local`.
+struct ComponentSplit {
+  DynamicBitset base;
+  std::vector<int> open;
+  std::vector<Priority> local;  // open[i]'s projected priority
+};
+
+// True iff `total` allows the collapse and the family keeps exactly one
+// member on a component whose projected priority `local` is total: S-, G-
+// and C-Rep are categorical (P4), so Algorithm 1's single output is that
+// member.
+bool CollapsesToOneMember(TotalComponents total, RepairFamily family,
+                          const ConflictGraph& graph, const Priority& local) {
+  if (total != TotalComponents::kCollapse ||
+      (family != RepairFamily::kSemiGlobal && family != RepairFamily::kGlobal &&
+       family != RepairFamily::kCommon)) {
+    return false;
+  }
+  // Arcs lie on edges, at most one per edge: all oriented iff as many.
+  return local.arc_count() == graph.edge_count();
+}
+
+// A connected graph: no projection, no remapping — its one member when the
+// family collapses, else the family enumerated in place.
+bool EnumerateConnected(
+    const ConflictGraph& graph, const Priority& priority, RepairFamily family,
+    TotalComponents total,
+    const std::function<bool(const DynamicBitset&)>& callback,
+    ExecutionContext* context) {
+  const bool collapses = CollapsesToOneMember(total, family, graph, priority);
+  if (context != nullptr) {
+    context->stats().AddComponentSplit(0, collapses ? 1 : 0, collapses ? 0 : 1);
+  }
+  if (collapses) return callback(CleanDatabaseTotal(graph, priority));
+  return EnumerateFamilyOnGraph(graph, priority, family, callback, context);
+}
+
+// Splits `components`, collapsing only as `total` allows, and records the
+// split (with `pruned` components left out by the caller) in the
+// context's stats.
+ComponentSplit SplitComponents(const ComponentDecomposition& decomposition,
+                               const std::vector<int>& components,
+                               const Priority& priority, RepairFamily family,
+                               TotalComponents total, size_t pruned,
+                               ExecutionContext* context) {
+  ComponentSplit split{decomposition.isolated(), {}, {}};
+  for (int c : components) {
+    const GraphComponent& component = decomposition.components()[c];
+    // Rep ignores the priority, so it needs no projection.
+    Priority local = family == RepairFamily::kAll
+                         ? Priority()
+                         : ProjectPriority(decomposition, c, priority);
+    if (CollapsesToOneMember(total, family, component.graph, local)) {
+      decomposition.Scatter(c, CleanDatabaseTotal(component.graph, local),
+                            split.base);
+      continue;
+    }
+    split.open.push_back(c);
+    split.local.push_back(std::move(local));
+  }
+  if (context != nullptr) {
+    context->stats().AddComponentSplit(
+        pruned, components.size() - split.open.size(), split.open.size());
+  }
+  return split;
+}
+
+Status MaterializeOpenComponents(const ComponentDecomposition& decomposition,
+                                 ComponentSplit split, RepairFamily family,
+                                 const ParallelOptions& options,
+                                 ThreadPool* pool, ComponentProduct* out) {
+  ExecutionContext* context = options.context;
+  Status materialized = MaterializeComponentLists(
+      split.open.size(), options,
+      [&](int i, std::vector<DynamicBitset>* list, ResourceArbiter* arbiter) {
+        return MaterializeComponentFamily(
+            decomposition.components()[split.open[i]].graph, split.local[i],
+            family, list, arbiter, context);
+      },
+      &out->choices, pool);
+  out->base = std::move(split.base);
+  out->components = std::move(split.open);
+  return materialized;
+}
+
+}  // namespace
+
+std::vector<int> AllComponents(const ComponentDecomposition& decomposition) {
+  std::vector<int> all(decomposition.components().size());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = static_cast<int>(c);
+  return all;
+}
+
+bool EnumerateComponentFamily(
+    const ComponentDecomposition& decomposition, int c,
+    const Priority& priority, RepairFamily family,
+    const std::function<bool(const DynamicBitset&)>& callback,
+    ExecutionContext* context) {
+  ComponentSplit split = SplitComponents(
+      decomposition, {c}, priority, family, TotalComponents::kCollapse, 0,
+      context);
+  if (split.open.empty()) {
+    DynamicBitset local(decomposition.components()[c].graph.vertex_count());
+    decomposition.Gather(c, split.base, local);
+    return callback(local);
+  }
+  return EnumerateFamilyOnGraph(decomposition.components()[c].graph,
+                                split.local[0], family, callback, context);
+}
+
+size_t CountCollapsedComponents(const ComponentDecomposition& decomposition,
+                                const std::vector<int>& components,
+                                const Priority& priority, RepairFamily family) {
+  return components.size() -
+         SplitComponents(decomposition, components, priority, family,
+                         TotalComponents::kCollapse, 0, nullptr)
+             .open.size();
+}
+
+Status MaterializeFamilyProduct(const ComponentDecomposition& decomposition,
+                                const std::vector<int>& components,
+                                const Priority& priority, RepairFamily family,
+                                const ParallelOptions& options,
+                                ThreadPool* pool, ComponentProduct* out,
+                                TotalComponents total) {
+  return MaterializeOpenComponents(
+      decomposition,
+      SplitComponents(decomposition, components, priority, family, total,
+                      decomposition.components().size() - components.size(),
+                      options.context),
+      family, options, pool, out);
+}
+
 // Every family notion decomposes over connected components: conflicts and
 // priorities both live on conflict edges, so a set is a family member iff
 // its restriction to each component is a family member of that component
@@ -394,7 +532,52 @@ bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
 // distinct components commute, so Algorithm 1 runs factor per component).
 // Each component is searched in its own compact universe — bitsets, memo
 // keys and certificates all shrink to component size — and the product is
-// streamed lazily so early-stop callbacks still short-circuit.
+// streamed lazily so early-stop callbacks still short-circuit. The same
+// factoring lets a caller list only the components it reads.
+bool EnumeratePreferredRepairs(
+    const ConflictGraph& graph, const ComponentDecomposition& decomposition,
+    const std::vector<int>& components, const Priority& priority,
+    RepairFamily family, const ParallelOptions& options,
+    const std::function<bool(const DynamicBitset&)>& callback,
+    TotalComponents total) {
+  ExecutionContext* context = options.context;
+  if (components.size() == 1 && decomposition.components().size() == 1 &&
+      decomposition.isolated().None()) {
+    // There is only one component, so options.threads has nothing to fan
+    // out over.
+    return EnumerateConnected(graph, priority, family, total, callback,
+                              context);
+  }
+  ComponentSplit split = SplitComponents(
+      decomposition, components, priority, family, total,
+      decomposition.components().size() - components.size(), context);
+  if (split.open.size() == 1) {
+    // One component left to enumerate: stream it without materializing,
+    // so an early stop stays cheap.
+    const int c = split.open[0];
+    DynamicBitset scratch = split.base;
+    return EnumerateFamilyOnGraph(
+        decomposition.components()[c].graph, split.local[0], family,
+        [&](const DynamicBitset& local) {
+          decomposition.Scatter(c, local, scratch);
+          return callback(scratch);
+        },
+        context);
+  }
+  ComponentProduct product;
+  Status materialized = MaterializeOpenComponents(
+      decomposition, std::move(split), family, options, nullptr, &product);
+  if (materialized.ok()) {
+    return ComponentProductEnumerator(decomposition, &product, context)
+        .Enumerate(callback);
+  }
+  if (context != nullptr && context->interrupted()) return false;
+  // Over the byte budget: free the lists before the memory-free fallback.
+  product = ComponentProduct();
+  return EnumerateWholeGraphFallback(graph, priority, family, callback,
+                                     context);
+}
+
 bool EnumeratePreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const std::function<bool(const DynamicBitset&)>& callback) {
@@ -406,49 +589,15 @@ bool EnumeratePreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options,
     const std::function<bool(const DynamicBitset&)>& callback) {
-  ExecutionContext* context = options.context;
-  if (family == RepairFamily::kAll) {
-    return EnumerateMaximalIndependentSets(graph, options, callback);
-  }
   if (SpansOneComponent(graph)) {
-    // Connected graph: no decomposition, no priority projection, no
-    // remapping — enumerate in place. There is only one component, so
-    // options.threads has nothing to fan out over.
-    return EnumerateFamilyOnGraph(graph, priority, family, callback, context);
+    return EnumerateConnected(graph, priority, family,
+                              TotalComponents::kCollapse, callback,
+                              options.context);
   }
   ComponentDecomposition decomposition(graph);
-  const std::vector<GraphComponent>& components = decomposition.components();
-  if (components.empty()) {
-    // Only isolated vertices: the unique repair belongs to every family.
-    return callback(decomposition.isolated());
-  }
-  std::vector<Priority> local_priorities =
-      ProjectPriorities(decomposition, priority);
-  if (components.size() == 1) {
-    // One non-singleton component plus isolated vertices: enumerate the
-    // component locally and scatter into the full universe.
-    const GraphComponent& component = decomposition.components()[0];
-    DynamicBitset scratch = decomposition.isolated();
-    return EnumerateFamilyOnGraph(
-        component.graph, local_priorities[0], family,
-        [&](const DynamicBitset& local) {
-          decomposition.Scatter(0, local, scratch);
-          return callback(scratch);
-        },
-        context);
-  }
-  std::optional<bool> complete = TryEnumerateViaComponentProduct(
-      decomposition, options,
-      [&](int c, std::vector<DynamicBitset>* out, ResourceArbiter* arbiter) {
-        return MaterializeComponentFamily(components[c].graph,
-                                          local_priorities[c], family, out,
-                                          arbiter, context);
-      },
-      callback);
-  if (complete.has_value()) return *complete;
-  if (context != nullptr && context->interrupted()) return false;
-  return EnumerateWholeGraphFallback(graph, priority, family, callback,
-                                     context);
+  return EnumeratePreferredRepairs(graph, decomposition,
+                                   AllComponents(decomposition), priority,
+                                   family, options, callback);
 }
 
 Result<std::vector<DynamicBitset>> PreferredRepairs(
@@ -498,23 +647,30 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
 std::optional<ComponentFamilyLists> MaterializeComponentFamilyLists(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options, ThreadPool* pool) {
-  ComponentFamilyLists out{ComponentDecomposition(graph), {}, {}};
-  const std::vector<GraphComponent>& components =
-      out.decomposition.components();
-  out.local_priorities = ProjectPriorities(out.decomposition, priority);
-  ExecutionContext* context = options.context;
-  Status materialized = MaterializeComponentLists(
-      out.decomposition, options,
-      [&](int c, std::vector<DynamicBitset>* list, ResourceArbiter* arbiter) {
-        return MaterializeComponentFamily(components[c].graph,
-                                          out.local_priorities[c], family,
-                                          list, arbiter, context);
-      },
-      &out.choices, pool);
+  ComponentFamilyLists out{ComponentDecomposition(graph), {}};
+  const ComponentDecomposition& decomposition = out.decomposition;
+  ComponentProduct product;
   // Both overflow and interrupt yield nullopt: the streaming/serial paths
   // the caller falls back to poll the context themselves, so an interrupt
   // still surfaces without re-running the materialization.
-  if (!materialized.ok()) return std::nullopt;
+  if (!MaterializeFamilyProduct(decomposition, AllComponents(decomposition),
+                                priority, family, options, pool, &product)
+           .ok()) {
+    return std::nullopt;
+  }
+  // Collapsed components contribute their one member as a one-entry list.
+  out.choices.resize(decomposition.components().size());
+  size_t digit = 0;
+  for (size_t c = 0; c < out.choices.size(); ++c) {
+    if (digit < product.components.size() &&
+        product.components[digit] == static_cast<int>(c)) {
+      out.choices[c] = std::move(product.choices[digit++]);
+      continue;
+    }
+    DynamicBitset local(decomposition.components()[c].graph.vertex_count());
+    decomposition.Gather(static_cast<int>(c), product.base, local);
+    out.choices[c].push_back(std::move(local));
+  }
   return out;
 }
 

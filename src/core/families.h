@@ -66,6 +66,8 @@ bool IsPreferredRepair(const ConflictGraph& graph, const Priority& priority,
 // The callback returns false to stop early; returns true iff enumeration
 // completed. For kGlobal this runs the co-NP witness search per repair;
 // for kCommon it explores the Algorithm 1 choice tree with memoization.
+// Decomposes `graph` and runs the listed-components form below over every
+// component.
 bool EnumeratePreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const std::function<bool(const DynamicBitset&)>& callback);
@@ -86,6 +88,73 @@ bool EnumeratePreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options,
     const std::function<bool(const DynamicBitset&)>& callback);
+
+// Whether the product routine below may take Algorithm 1's single output
+// instead of the family search on a component whose projected priority is
+// total. kCollapse relies on categoricity (P4) for S-, G- and C-Rep;
+// kSearch searches every listed component, so the reference paths (forced
+// enumeration, the P4 check in core/properties.h) test P4 rather than
+// assume it.
+enum class TotalComponents { kCollapse, kSearch };
+
+// The product routine every enumerating caller shares, over the listed
+// `components` (ascending indices into `decomposition`, the decomposition
+// of `graph`) only. Each emitted set holds the isolated vertices and one
+// family member per listed component, and no vertex of any other
+// component: a caller that never reads those vertices (cqa/cqa.h
+// ObservableComponents) gets the same answer as over full repairs. With
+// every component listed the sets are exactly the family's repairs.
+//   - Under TotalComponents::kCollapse, a component whose projected
+//     priority is total takes Algorithm 1's single output under S-, G-
+//     and C-Rep (categoricity P4) instead of a search.
+//   - A connected graph is enumerated in place, and a product with one
+//     component left to search streams it without materializing.
+//   - Otherwise the open components' lists are materialized (across
+//     options.threads workers) and their product streamed; past the byte
+//     budget the whole-graph streaming fallback takes over.
+// options.context's stats record the pruned / collapsed / enumerated split.
+bool EnumeratePreferredRepairs(
+    const ConflictGraph& graph, const ComponentDecomposition& decomposition,
+    const std::vector<int>& components, const Priority& priority,
+    RepairFamily family, const ParallelOptions& options,
+    const std::function<bool(const DynamicBitset&)>& callback,
+    TotalComponents total = TotalComponents::kCollapse);
+
+// Every component index of `decomposition`, ascending.
+[[nodiscard]] std::vector<int> AllComponents(
+    const ComponentDecomposition& decomposition);
+
+// How many of `components` the routine above would collapse to their one
+// Algorithm 1 output (for explain output; records no stats).
+[[nodiscard]] size_t CountCollapsedComponents(
+    const ComponentDecomposition& decomposition,
+    const std::vector<int>& components, const Priority& priority,
+    RepairFamily family);
+
+// The materializing half of the routine above, for sharded consumers:
+// fills `out` with the listed components' product (collapsed components
+// scattered into out->base, the rest as digits with their lists), fanning
+// the materialization out over `pool` (or an on-demand pool) when
+// options.threads > 1. Returns kResourceExhausted past the byte budget
+// (callers then stream the whole graph) or the context's status when it
+// was interrupted.
+[[nodiscard]] Status MaterializeFamilyProduct(
+    const ComponentDecomposition& decomposition,
+    const std::vector<int>& components, const Priority& priority,
+    RepairFamily family, const ParallelOptions& options, ThreadPool* pool,
+    ComponentProduct* out,
+    TotalComponents total = TotalComponents::kCollapse);
+
+// Streams the members of `family` on component c alone, in its local
+// universe: Algorithm 1's single output when the routine above would
+// collapse the component, its family search otherwise (recorded in the
+// context's stats as collapsed or enumerated). Per-component consumers
+// (cqa/aggregation.h's decomposed ranges) fold over it.
+bool EnumerateComponentFamily(
+    const ComponentDecomposition& decomposition, int c,
+    const Priority& priority, RepairFamily family,
+    const std::function<bool(const DynamicBitset&)>& callback,
+    ExecutionContext* context = nullptr);
 
 // Materializes the family, failing with kResourceExhausted beyond `limit`
 // (clamped to options.context's max_repair_list when a context is
@@ -108,24 +177,16 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
     const EvalOptions& options);
 
 // Per-component family lists in their compact local universes, together
-// with the decomposition and projected priorities that define them. The
-// input of sharded consumers: cqa.cc splits the product space across
-// worker threads by slicing one component's list
-// (ComponentProductEnumerator::EnumerateSlice).
+// with the decomposition that defines them; a collapsed component's list
+// holds its one member.
 struct ComponentFamilyLists {
   ComponentDecomposition decomposition;
-  std::vector<Priority> local_priorities;
   std::vector<std::vector<DynamicBitset>> choices;
 };
 
-// Materializes every component's family list, fanning components out
-// across options.threads workers (on `pool` when given, else an
-// on-demand pool). Returns nullopt when the lists exceed the byte budget
-// (options.context's limit, else kComponentListBudgetBytes) — callers
-// then take a serial streaming path
-// (EnumeratePreferredRepairsStreaming, which will not re-attempt the
-// materialization that just failed) — or when the context was interrupted
-// (the fallback path re-polls the context and surfaces the interrupt). A
+// Decomposes `graph` and materializes every component's family list
+// (MaterializeFamilyProduct over every component). Returns nullopt when
+// the lists exceed the byte budget or the context was interrupted. A
 // graph with no non-singleton component yields empty `choices`; its
 // unique repair is decomposition.isolated().
 [[nodiscard]] std::optional<ComponentFamilyLists>

@@ -60,9 +60,16 @@ Result<bool> SatisfiesCategoricityFor(const ConflictGraph& graph,
   if (!total.IsTotalFor(graph)) {
     return Status::FailedPrecondition("priority is not total for the graph");
   }
-  PREFREP_ASSIGN_OR_RETURN(std::vector<DynamicBitset> repairs,
-                           PreferredRepairs(graph, total, family));
-  return repairs.size() == 1;
+  ComponentDecomposition decomposition(graph);
+  size_t members = 0;
+  EnumeratePreferredRepairs(
+      graph, decomposition, AllComponents(decomposition), total, family,
+      ParallelOptions{},
+      [&members](const DynamicBitset&) {
+        return ++members < 2;  // a second member settles it
+      },
+      TotalComponents::kSearch);
+  return members == 1;
 }
 
 Result<bool> FamilyContainedIn(const ConflictGraph& graph,

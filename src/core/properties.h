@@ -34,6 +34,8 @@ Result<bool> SatisfiesNonDiscrimination(const ConflictGraph& graph,
 
 // P4 (categoricity) for a concrete total priority: |X-Rep(total)| == 1.
 // `total` must be total for `graph` (kFailedPrecondition otherwise).
+// Every component's family is searched (TotalComponents::kSearch), so the
+// check does not rest on the product routine's collapse, which assumes P4.
 Result<bool> SatisfiesCategoricityFor(const ConflictGraph& graph,
                                       const Priority& total,
                                       RepairFamily family);

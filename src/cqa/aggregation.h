@@ -5,8 +5,8 @@
 // scalar aggregate does not have a single consistent value; the meaningful
 // answer is the RANGE [glb, lub] of the aggregate across (preferred)
 // repairs. This module computes exact ranges for MIN / MAX / SUM / COUNT /
-// AVG of a numeric column over any preferred-repair family, plus a
-// polynomial per-component algorithm for COUNT(*) ranges under plain Rep.
+// AVG of a numeric column over any preferred-repair family, both by
+// enumerating repairs (the reference) and per conflict component.
 //
 // Preferences narrow ranges: since X-Rep ⊆ Rep, the X-range is always
 // contained in the Rep-range (tested in tests/aggregation_test.cc).
@@ -48,9 +48,10 @@ struct AggregateRange {
 };
 
 // Exact range of `fn` applied to attribute `attribute` of relation
-// `relation` across all repairs of `family` under `priority`.
-// Exponential in the number of preferred repairs (co-NP-hard in general,
-// per [2]); intended for moderate instances. `options.context`, when
+// `relation` across all repairs of `family` under `priority`, every
+// component searched without the P4 collapse (the reference forced
+// enumeration runs). Exponential in the number of preferred repairs
+// (co-NP-hard in general, per [2]); intended for moderate instances. `options.context`, when
 // set, is polled once per repair; expiry/cancel surfaces as the
 // context's latched kCancelled / kDeadlineExceeded status.
 Result<AggregateRange> AggregateConsistentRange(
@@ -69,11 +70,28 @@ Result<AggregateRange> AggregateConsistentRange(
     std::string_view attribute, AggregateFunction fn,
     const EvalOptions& options);
 
+// The same range computed per conflict component. Preferred repairs are
+// products of per-component family members, so COUNT, SUM, MIN and MAX
+// over a product are folds of per-component ranges: each component that
+// holds a tuple of the relation contributes the range of its members'
+// own aggregates, plus whether some member has no row of the relation
+// (SUM, MIN and MAX of a repair with no row at all are undefined, which
+// sets empty_possible); the relation's isolated tuples contribute a
+// constant. The cost is the sum of the components' family searches, not
+// their product. AVG does not fold, so it enumerates the product of the
+// relation's components only (core/families.h EnumeratePreferredRepairs
+// over listed components). Equal to AggregateConsistentRange (pinned by
+// the planner differential in tests/planner_test.cc).
+Result<AggregateRange> DecomposedAggregateRange(
+    const RepairProblem& problem, const Priority& priority,
+    RepairFamily family, std::string_view relation,
+    std::string_view attribute, AggregateFunction fn,
+    const ParallelOptions& options = {});
+
 // Polynomial special case: the COUNT(*) range of `relation` under plain
-// Rep. Repair sizes decompose over connected components of the conflict
-// graph: the range is the sum of per-component [min, max] maximal-
-// independent-set sizes restricted to the relation. `context`, when set,
-// is polled per component (and inside the per-component MIS search).
+// Rep — DecomposedAggregateRange with Rep's per-component repairs.
+// `context`, when set, is polled per component (and inside the
+// per-component MIS search).
 Result<AggregateRange> CountStarRange(const RepairProblem& problem,
                                       std::string_view relation,
                                       ExecutionContext* context = nullptr);

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -100,7 +101,8 @@ using EnumerateRepairsFn = std::function<bool(
 // when a worker threw or `context` was interrupted (each enumerator also
 // polls the context per odometer tick).
 [[nodiscard]] Status ForEachRepairSharded(
-    const ComponentFamilyLists& lists, const CqaShardPlan& plan,
+    const ComponentDecomposition& decomposition,
+    const ComponentProduct& product, const CqaShardPlan& plan,
     ThreadPool& pool, ExecutionContext* context, std::atomic<bool>* abort,
     const std::function<bool(size_t chunk, int worker,
                              const DynamicBitset& repair)>& eval_repair) {
@@ -108,9 +110,9 @@ using EnumerateRepairsFn = std::function<bool(
       plan.chunks.size(),
       [&](size_t chunk, int worker) {
         if (abort->load(std::memory_order_relaxed)) return;
-        ComponentProductEnumerator product(lists.decomposition, &lists.choices,
-                                           context);
-        product.EnumerateSlices(
+        ComponentProductEnumerator enumerator(decomposition, &product,
+                                              context);
+        enumerator.EnumerateSlices(
             plan.chunks[chunk],
             [&](const DynamicBitset& repair) {
               PREFREP_FAILPOINT("cqa.eval");
@@ -152,29 +154,42 @@ void IntersectInPlace(std::set<Tuple>* keep, const std::set<Tuple>& other) {
 
 // The one orchestration point both CQA entry points share: picks the
 // sharded or serial loop for `options` and hands it the right enumeration
-// driver. threads > 1 materializes the per-component lists once (a single
-// pool serves both materialization and eval sharding) and dispatches to
-// `sharded(lists, pool)`; when the lists blow the byte budget it runs
+// driver, over the `components` of problem.decomposition() the request
+// can observe. Null lists every component and searches each one without
+// the P4 collapse: the unpruned reference that forced enumeration runs.
+// threads > 1 materializes the product once (a single pool serves both
+// materialization and eval sharding) and dispatches to
+// `sharded(product, pool)`; when the lists blow the byte budget it runs
 // `serial` over the streaming fallback — with O(depth) memory, instead of
 // re-running the materialization that just failed. Connected graphs take
 // the serial path at every thread count: there the serial enumerator
 // streams in place with early-stop, so materializing up front (the
 // sharded prerequisite) could cost unboundedly more than the verdict
-// needs — on multi-component graphs the serial path materializes the
-// very same per-component lists, so sharding adds no memory or
-// materialization the serial run wouldn't. threads <= 1, and instances
-// with no component to shard over (a single repair of isolated
-// vertices), also run `serial` over the standard enumerator.
+// needs. threads <= 1 runs `serial` over the shared product routine
+// (core/families.h), which collapses totally prioritized components and
+// streams a lone open component without materializing it.
 template <typename ShardedFn, typename SerialFn>
 auto RunCqa(const RepairProblem& problem, const Priority& priority,
-            RepairFamily family, const ParallelOptions& options,
-            const ShardedFn& sharded, const SerialFn& serial) {
+            RepairFamily family, const std::vector<int>* components,
+            const ParallelOptions& options, const ShardedFn& sharded,
+            const SerialFn& serial) {
   ExecutionContext* context = options.context;
-  if (options.threads > 1 && !SpansOneComponent(problem.graph())) {
+  const ComponentDecomposition& decomposition = problem.decomposition();
+  const std::vector<int> all =
+      components == nullptr ? AllComponents(decomposition) : std::vector<int>{};
+  const std::vector<int>& listed = components == nullptr ? all : *components;
+  const TotalComponents total = components == nullptr
+                                    ? TotalComponents::kSearch
+                                    : TotalComponents::kCollapse;
+  const bool connected = decomposition.components().size() == 1 &&
+                         decomposition.isolated().None();
+  if (options.threads > 1 && !connected) {
     ThreadPool pool(options.threads);
-    std::optional<ComponentFamilyLists> lists = MaterializeComponentFamilyLists(
-        problem.graph(), priority, family, options, &pool);
-    if (!lists.has_value()) {
+    ComponentProduct product;
+    if (!MaterializeFamilyProduct(decomposition, listed, priority, family,
+                                  options, &pool, &product, total)
+             .ok()) {
+      // Over budget, or interrupted: the fallback re-polls the context.
       return serial([&](const std::function<bool(const DynamicBitset&)>& cb) {
         return EnumeratePreferredRepairsStreaming(problem.graph(), priority,
                                                   family,
@@ -182,17 +197,171 @@ auto RunCqa(const RepairProblem& problem, const Priority& priority,
                                                   context);
       });
     }
-    if (!lists->choices.empty()) {
-      return sharded(*lists, pool);
-    }
+    if (!product.choices.empty()) return sharded(product, pool);
+    return serial([&](const std::function<bool(const DynamicBitset&)>& cb) {
+      return ComponentProductEnumerator(decomposition, &product, context)
+          .Enumerate(WrapSerialEval(context, cb));
+    });
   }
   return serial([&](const std::function<bool(const DynamicBitset&)>& cb) {
-    return EnumeratePreferredRepairs(problem.graph(), priority, family,
-                                     options, WrapSerialEval(context, cb));
+    return EnumeratePreferredRepairs(problem.graph(), decomposition, listed,
+                                     priority, family, options,
+                                     WrapSerialEval(context, cb), total);
   });
 }
 
+// A variable's binding pinned to a constant by an enclosing conjunction.
+using Pins = std::map<std::string, Value>;
+
+// The `x = c` (or `c = x`) comparison `query` is, if it is one.
+bool PinOf(const Query& query, std::string* variable, Value* constant) {
+  if (query.kind != QueryKind::kComparison || query.op != ComparisonOp::kEq) {
+    return false;
+  }
+  const Term* var = query.lhs.is_variable() ? &query.lhs : &query.rhs;
+  const Term* value = query.lhs.is_variable() ? &query.rhs : &query.lhs;
+  if (!var->is_variable() || !value->is_constant()) return false;
+  *variable = var->variable;
+  *constant = value->constant;
+  return true;
+}
+
+// The conjuncts of `query`, looking through nested `and`s.
+void Conjuncts(const Query& query, std::vector<const Query*>* out) {
+  if (query.kind != QueryKind::kAnd) {
+    out->push_back(&query);
+    return;
+  }
+  for (const std::unique_ptr<Query>& child : query.children) {
+    Conjuncts(*child, out);
+  }
+}
+
+// Marks the components holding a tuple some atom of a query can match.
+class ObservableCollector {
+ public:
+  explicit ObservableCollector(const RepairProblem& problem)
+      : problem_(problem),
+        seen_(problem.decomposition().components().size(), 0) {}
+
+  void Walk(const Query& query, const Pins& pins) {
+    switch (query.kind) {
+      case QueryKind::kAtom:
+        Match(query, pins);
+        return;
+      case QueryKind::kNot:
+      case QueryKind::kOr:
+        // An equality under `or` or `not` pins nothing, but the pins of
+        // an enclosing conjunction still hold below it.
+        for (const std::unique_ptr<Query>& child : query.children) {
+          Walk(*child, pins);
+        }
+        return;
+      case QueryKind::kAnd: {
+        // A conjunction is false whenever a conjunct `x = c` fails, so
+        // its other conjuncts matter only under x = c.
+        std::vector<const Query*> conjuncts;
+        Conjuncts(query, &conjuncts);
+        Pins inner = pins;
+        std::string variable;
+        Value constant;
+        for (const Query* conjunct : conjuncts) {
+          if (PinOf(*conjunct, &variable, &constant)) {
+            inner[variable] = constant;
+          }
+        }
+        for (const Query* conjunct : conjuncts) Walk(*conjunct, inner);
+        return;
+      }
+      case QueryKind::kExists:
+      case QueryKind::kForAll: {
+        // A quantifier rebinds its variables: outer pins no longer apply.
+        Pins inner = pins;
+        for (const std::string& variable : query.bound_vars) {
+          inner.erase(variable);
+        }
+        Walk(*query.children[0], inner);
+        return;
+      }
+      case QueryKind::kTrue:
+      case QueryKind::kFalse:
+      case QueryKind::kComparison:
+        return;
+    }
+  }
+
+  std::vector<int> Take() {
+    std::vector<int> out;
+    for (size_t c = 0; c < seen_.size(); ++c) {
+      if (everything_ || seen_[c] != 0) out.push_back(static_cast<int>(c));
+    }
+    return out;
+  }
+
+ private:
+  void Mark(TupleId id) {
+    int c = problem_.decomposition().ComponentOf(id);
+    if (c >= 0) seen_[c] = 1;
+  }
+
+  void Match(const Query& atom, const Pins& pins) {
+    const Database& db = problem_.db();
+    Result<int> index = db.RelationIndex(atom.relation);
+    if (!index.ok() ||
+        db.relations()[*index].schema().attributes().size() !=
+            atom.terms.size()) {
+      everything_ = true;  // compilation rejects such a query anyway
+      return;
+    }
+    // pattern[i]: the constant position i must hold, or null for any.
+    std::vector<const Value*> pattern(atom.terms.size(), nullptr);
+    bool ground = true;
+    for (size_t i = 0; i < atom.terms.size(); ++i) {
+      const Term& term = atom.terms[i];
+      if (term.is_constant()) {
+        pattern[i] = &term.constant;
+        continue;
+      }
+      auto pin = pins.find(term.variable);
+      if (pin != pins.end()) {
+        pattern[i] = &pin->second;
+      } else {
+        ground = false;
+      }
+    }
+    const Relation& relation = db.relations()[*index];
+    if (ground) {
+      std::vector<Value> values;
+      values.reserve(pattern.size());
+      for (const Value* value : pattern) values.push_back(*value);
+      Result<int> row = relation.Find(Tuple(std::move(values)));
+      if (row.ok()) Mark(db.GlobalId(*index, *row));
+      return;
+    }
+    for (int row = 0; row < relation.size(); ++row) {
+      const Tuple& tuple = relation.tuple(row);
+      bool matches = true;
+      for (size_t i = 0; i < pattern.size() && matches; ++i) {
+        matches = pattern[i] == nullptr ||
+                  tuple.value(static_cast<int>(i)) == *pattern[i];
+      }
+      if (matches) Mark(db.GlobalId(*index, row));
+    }
+  }
+
+  const RepairProblem& problem_;
+  std::vector<char> seen_;
+  bool everything_ = false;
+};
+
 }  // namespace
+
+std::vector<int> ObservableComponents(const RepairProblem& problem,
+                                      const Query& query) {
+  ObservableCollector collector(problem);
+  collector.Walk(query, Pins());
+  return collector.Take();
+}
 
 std::string_view CqaVerdictName(CqaVerdict verdict) {
   switch (verdict) {
@@ -214,22 +383,22 @@ namespace {
 // OR-ing outcome bits is commutative, so the merged mask — and therefore
 // the verdict — is exactly what the serial loop computes; once both bits
 // are set no further repair can change it and every shard stops.
-Result<CqaVerdict> ShardedConsistentAnswer(const ComponentFamilyLists& lists,
-                                           const PreparedQuery& prepared,
-                                           ThreadPool& pool,
-                                           ExecutionContext* context) {
-  for (const std::vector<DynamicBitset>& list : lists.choices) {
+Result<CqaVerdict> ShardedConsistentAnswer(
+    const ComponentDecomposition& decomposition,
+    const ComponentProduct& product, const PreparedQuery& prepared,
+    ThreadPool& pool, ExecutionContext* context) {
+  for (const std::vector<DynamicBitset>& list : product.choices) {
     // An empty component list makes the family empty: vacuously true,
     // matching the serial loop (whose callback never runs).
     if (list.empty()) return CqaVerdict::kCertainlyTrue;
   }
-  CqaShardPlan plan = PlanCqaShards(lists.choices, pool.thread_count());
+  CqaShardPlan plan = PlanCqaShards(product.choices, pool.thread_count());
   std::vector<PreparedQuery> worker_query(pool.thread_count(), prepared);
   std::vector<Status> chunk_status(plan.chunks.size(), Status::Ok());
   std::atomic<uint32_t> seen_mask{0};
   std::atomic<bool> abort{false};
   Status pool_status = ForEachRepairSharded(
-      lists, plan, pool, context, &abort,
+      decomposition, product, plan, pool, context, &abort,
       [&](size_t chunk, int worker, const DynamicBitset& repair) {
         Result<bool> holds = worker_query[worker].EvalClosed(&repair);
         if (!holds.ok()) {
@@ -302,15 +471,15 @@ namespace {
 // Query-compiling entry point and the prepared-reusing server seam land
 // here. `prepared` is evaluated in place, so it must be privately owned
 // by this call (evaluation reuses internal scratch buffers).
-Result<CqaVerdict> EnumeratedAnswerWithPrepared(const RepairProblem& problem,
-                                                const Priority& priority,
-                                                RepairFamily family,
-                                                const PreparedQuery& prepared,
-                                                ParallelOptions options) try {
+Result<CqaVerdict> EnumeratedAnswerWithPrepared(
+    const RepairProblem& problem, const Priority& priority,
+    RepairFamily family, const PreparedQuery& prepared,
+    const std::vector<int>* components, const ParallelOptions& options) try {
   Result<CqaVerdict> verdict = RunCqa(
-      problem, priority, family, options,
-      [&](const ComponentFamilyLists& lists, ThreadPool& pool) {
-        return ShardedConsistentAnswer(lists, prepared, pool, options.context);
+      problem, priority, family, components, options,
+      [&](const ComponentProduct& product, ThreadPool& pool) {
+        return ShardedConsistentAnswer(problem.decomposition(), product,
+                                       prepared, pool, options.context);
       },
       [&](const EnumerateRepairsFn& enumerate) {
         return SerialConsistentAnswer(prepared, enumerate);
@@ -343,16 +512,15 @@ Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
   PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
                            PreparedQuery::Compile(problem.db(), query));
   return EnumeratedAnswerWithPrepared(problem, priority, family, prepared,
-                                      options);
+                                      nullptr, options);
 } catch (const std::bad_alloc&) {
   return Status::ResourceExhausted("allocation failed during enumerated CQA");
 }
 
-Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const PreparedQuery& prepared,
-                                              ParallelOptions options) try {
+Result<CqaVerdict> EnumeratedConsistentAnswer(
+    const RepairProblem& problem, const Priority& priority,
+    RepairFamily family, const PreparedQuery& prepared,
+    const std::vector<int>* components, const ParallelOptions& options) try {
   if (!prepared.is_closed()) {
     return Status::InvalidArgument(
         "consistent answers need a closed query (prepared query has free "
@@ -362,7 +530,7 @@ Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
   // (evaluation reuses internal scratch), so concurrent calls can share it.
   PreparedQuery local(prepared);
   return EnumeratedAnswerWithPrepared(problem, priority, family, local,
-                                      options);
+                                      components, options);
 } catch (const std::bad_alloc&) {
   return Status::ResourceExhausted("allocation failed during enumerated CQA");
 }
@@ -393,16 +561,16 @@ namespace {
 // commutative and associative, so intersecting the partials (in any
 // order) equals the serial running intersection. A chunk whose partial
 // empties proves the global intersection empty and stops the rest.
-Result<OpenAnswer> ShardedConsistentAnswers(const ComponentFamilyLists& lists,
-                                            const PreparedQuery& prepared,
-                                            ThreadPool& pool,
-                                            ExecutionContext* context) {
-  for (const std::vector<DynamicBitset>& list : lists.choices) {
+Result<OpenAnswer> ShardedConsistentAnswers(
+    const ComponentDecomposition& decomposition,
+    const ComponentProduct& product, const PreparedQuery& prepared,
+    ThreadPool& pool, ExecutionContext* context) {
+  for (const std::vector<DynamicBitset>& list : product.choices) {
     // Empty family: no repair ever ran, matching the serial loop's empty
     // OpenAnswer (variables included — they are set on the first repair).
     if (list.empty()) return OpenAnswer{};
   }
-  CqaShardPlan plan = PlanCqaShards(lists.choices, pool.thread_count());
+  CqaShardPlan plan = PlanCqaShards(product.choices, pool.thread_count());
   std::vector<PreparedQuery> worker_query(pool.thread_count(), prepared);
   std::vector<Status> chunk_status(plan.chunks.size(), Status::Ok());
   struct ChunkPartial {
@@ -413,7 +581,7 @@ Result<OpenAnswer> ShardedConsistentAnswers(const ComponentFamilyLists& lists,
   std::atomic<bool> emptied{false};
   std::atomic<bool> abort{false};
   Status pool_status = ForEachRepairSharded(
-      lists, plan, pool, context, &abort,
+      decomposition, product, plan, pool, context, &abort,
       [&](size_t chunk, int worker, const DynamicBitset& repair) {
         Result<OpenAnswer> answer = worker_query[worker].EvalOpen(&repair);
         if (!answer.ok()) {
@@ -511,15 +679,15 @@ namespace {
 
 // Open-answer twin of EnumeratedAnswerWithPrepared; same private-ownership
 // contract for `prepared`.
-Result<OpenAnswer> EnumeratedAnswersWithPrepared(const RepairProblem& problem,
-                                                 const Priority& priority,
-                                                 RepairFamily family,
-                                                 const PreparedQuery& prepared,
-                                                 ParallelOptions options) try {
+Result<OpenAnswer> EnumeratedAnswersWithPrepared(
+    const RepairProblem& problem, const Priority& priority,
+    RepairFamily family, const PreparedQuery& prepared,
+    const std::vector<int>* components, const ParallelOptions& options) try {
   Result<OpenAnswer> answers = RunCqa(
-      problem, priority, family, options,
-      [&](const ComponentFamilyLists& lists, ThreadPool& pool) {
-        return ShardedConsistentAnswers(lists, prepared, pool, options.context);
+      problem, priority, family, components, options,
+      [&](const ComponentProduct& product, ThreadPool& pool) {
+        return ShardedConsistentAnswers(problem.decomposition(), product,
+                                        prepared, pool, options.context);
       },
       [&](const EnumerateRepairsFn& enumerate) {
         return SerialConsistentAnswers(prepared, enumerate);
@@ -542,21 +710,20 @@ Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
   PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
                            PreparedQuery::Compile(problem.db(), query));
   return EnumeratedAnswersWithPrepared(problem, priority, family, prepared,
-                                       options);
+                                       nullptr, options);
 } catch (const std::bad_alloc&) {
   return Status::ResourceExhausted("allocation failed during enumerated CQA");
 }
 
-Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
-                                               const Priority& priority,
-                                               RepairFamily family,
-                                               const PreparedQuery& prepared,
-                                               ParallelOptions options) try {
+Result<OpenAnswer> EnumeratedConsistentAnswers(
+    const RepairProblem& problem, const Priority& priority,
+    RepairFamily family, const PreparedQuery& prepared,
+    const std::vector<int>* components, const ParallelOptions& options) try {
   // Private copy of the caller's cached master; see the closed-query
   // overload above for the sharing contract.
   PreparedQuery local(prepared);
   return EnumeratedAnswersWithPrepared(problem, priority, family, local,
-                                       options);
+                                       components, options);
 } catch (const std::bad_alloc&) {
   return Status::ResourceExhausted("allocation failed during enumerated CQA");
 }
@@ -697,7 +864,8 @@ Result<bool> GroundConsistentAnswer(const RepairProblem& problem,
 Result<OpenAnswer> GroundConsistentOpenAnswers(const RepairProblem& problem,
                                                const Query& query,
                                                size_t max_dnf_disjuncts,
-                                               ExecutionContext* context) {
+                                               ExecutionContext* context,
+                                               const PreparedQuery* prepared) {
   if (!query.IsQuantifierFree()) {
     return Status::InvalidArgument(
         "GroundConsistentOpenAnswers needs a quantifier-free query");
@@ -708,10 +876,15 @@ Result<OpenAnswer> GroundConsistentOpenAnswers(const RepairProblem& problem,
         "query; use PreferredConsistentAnswers");
   }
   // Candidates: answers over the full database (a superset of every
-  // repair's answers, by monotonicity).
-  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PreparedQuery::Compile(problem.db(), query));
-  PREFREP_ASSIGN_OR_RETURN(OpenAnswer candidates, prepared.EvalOpen(nullptr));
+  // repair's answers, by monotonicity), on a private copy of the caller's
+  // master when there is one.
+  std::optional<PreparedQuery> local;
+  if (prepared != nullptr) {
+    local.emplace(*prepared);
+  } else {
+    PREFREP_ASSIGN_OR_RETURN(local, PreparedQuery::Compile(problem.db(), query));
+  }
+  PREFREP_ASSIGN_OR_RETURN(OpenAnswer candidates, local->EvalOpen(nullptr));
   // Loop-invariant skeleton: the negated query's DNF is computed once;
   // each candidate row only substitutes its bindings into the disjunct
   // templates (instead of re-cloning, re-NNFing and re-DNFing the query

@@ -16,6 +16,7 @@
 #define PREFREP_CQA_CQA_H_
 
 #include <string_view>
+#include <vector>
 
 #include "base/eval_options.h"
 #include "base/status.h"
@@ -62,8 +63,9 @@ Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
 
 // The tier-2 engine, planner-free: always evaluates the closed query in
 // every preferred repair (enumeration stops as soon as both a satisfying
-// and a falsifying repair have been seen). The planner's fallback and
-// the reference side of the differential tests.
+// and a falsifying repair have been seen). The reference side of the
+// differential tests; the planner runs the prepared form below over the
+// observable components only.
 //
 // options.threads > 1 shards the work two ways: per-component family
 // lists are materialized by parallel workers (core/families.h), then the
@@ -78,16 +80,19 @@ Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
                                               const Query& query,
                                               ParallelOptions options = {});
 
-// Prepared-query seam for resident servers (src/server/session.h):
-// `prepared` must have been compiled against problem.db() and stays
-// untouched — the engine evaluates a private copy, so one cached master
-// can serve concurrent calls. Skips recompilation; otherwise identical
-// to the Query overload.
-Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const PreparedQuery& prepared,
-                                              ParallelOptions options = {});
+// Prepared-query seam, the form the planner runs: `prepared` must have
+// been compiled against problem.db() and stays untouched — the engine
+// evaluates a private copy, so one cached master can serve concurrent
+// calls. `components`, when set, lists the components of
+// problem.decomposition() the query can observe (ObservableComponents);
+// the product then ranges over those only, and every other component is
+// left out of the evaluated sets. Null enumerates full repairs with every
+// component searched, without the P4 collapse: the reference that forced
+// enumeration runs.
+Result<CqaVerdict> EnumeratedConsistentAnswer(
+    const RepairProblem& problem, const Priority& priority,
+    RepairFamily family, const PreparedQuery& prepared,
+    const std::vector<int>* components, const ParallelOptions& options);
 
 // Convenience: true iff `true` is the X-consistent answer (Definition 3).
 Result<bool> IsConsistentlyTrue(const RepairProblem& problem,
@@ -130,12 +135,24 @@ Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
                                                ParallelOptions options = {});
 
 // Prepared-query seam; see EnumeratedConsistentAnswer's prepared overload
-// for the sharing contract.
-Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
-                                               const Priority& priority,
-                                               RepairFamily family,
-                                               const PreparedQuery& prepared,
-                                               ParallelOptions options = {});
+// for the sharing contract and `components`.
+Result<OpenAnswer> EnumeratedConsistentAnswers(
+    const RepairProblem& problem, const Priority& priority,
+    RepairFamily family, const PreparedQuery& prepared,
+    const std::vector<int>* components, const ParallelOptions& options);
+
+// The components of problem.decomposition() a query can observe,
+// ascending: those holding a tuple some atom of `query` can match. An
+// atom matches the tuples that agree with its constants, and with the
+// constants that `x = c` conjuncts of an enclosing `and` pin its
+// variables to (unless a quantifier in between rebinds the variable);
+// equalities under `or` or `not` pin nothing. A ground atom costs one
+// hash lookup, any other atom a scan of its relation. Evaluation reads no
+// tuple of any other component, and preferred repairs factor over
+// components, so tier 2 takes the repair product over these alone. The
+// result holds for this decomposition only: compute it per execution.
+[[nodiscard]] std::vector<int> ObservableComponents(const RepairProblem& problem,
+                                                    const Query& query);
 
 // Polynomial-time consistent answers for ground quantifier-free queries
 // under the plain Rep semantics: true iff the query holds in every repair.
@@ -164,11 +181,14 @@ Result<CqaVerdict> GroundConsistentVerdict(
 // queries under plain Rep: the candidate answers are computed on the full
 // (inconsistent) database — sound because negation-free queries are
 // monotone — and each candidate's ground instantiation is certified with
-// GroundConsistentAnswer.
+// GroundConsistentAnswer. `prepared`, when set, is a master compiled from
+// `query` against problem.db(): the candidates are computed on a private
+// copy of it instead of a fresh compilation.
 Result<OpenAnswer> GroundConsistentOpenAnswers(
     const RepairProblem& problem, const Query& query,
     size_t max_dnf_disjuncts = kDefaultDnfDisjunctBudget,
-    ExecutionContext* context = nullptr);
+    ExecutionContext* context = nullptr,
+    const PreparedQuery* prepared = nullptr);
 
 }  // namespace prefrep
 

@@ -1,7 +1,9 @@
 #include "cqa/planner.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "query/normal_form.h"
 #include "query/prepared.h"
@@ -123,6 +125,27 @@ CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
   plan.reason = FamilyNote(plan) +
                 " with a non-empty priority: no polynomial route known";
   return plan;
+}
+
+std::string ComponentSplitCounts::ToString() const {
+  return "components: " + std::to_string(pruned) + " pruned, " +
+         std::to_string(collapsed) + " collapsed, " +
+         std::to_string(enumerated) + " enumerated";
+}
+
+ComponentSplitCounts ExplainComponentSplit(const RepairProblem& problem,
+                                           const Priority& priority,
+                                           RepairFamily family,
+                                           const Query& query) {
+  const std::vector<int> observable = ObservableComponents(problem, query);
+  ComponentSplitCounts counts;
+  counts.pruned =
+      problem.decomposition().components().size() - observable.size();
+  counts.collapsed =
+      CountCollapsedComponents(problem.decomposition(), observable, priority,
+                               EffectiveFamily(priority, family));
+  counts.enumerated = observable.size() - counts.collapsed;
+  return counts;
 }
 
 namespace {
@@ -257,16 +280,23 @@ Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
       break;
   }
   // A forced enumeration is the differential reference: it runs the
-  // *requested* family so the planner's normalization is itself under
-  // test; planned enumeration runs the (equivalent) effective family.
-  RepairFamily enumerate_as =
-      forced ? plan.requested_family : plan.effective_family;
-  if (options.prepared != nullptr) {
-    return EnumeratedConsistentAnswer(problem, priority, enumerate_as,
-                                      *options.prepared, options.parallel);
+  // *requested* family over full repairs, so the planner's normalization
+  // and pruning are themselves under test; planned enumeration runs the
+  // (equivalent) effective family over the observable components.
+  if (forced) {
+    return EnumeratedConsistentAnswer(problem, priority, plan.requested_family,
+                                      query, options.parallel);
   }
-  return EnumeratedConsistentAnswer(problem, priority, enumerate_as, query,
-                                    options.parallel);
+  std::optional<PreparedQuery> compiled;
+  const PreparedQuery* prepared = options.prepared;
+  if (prepared == nullptr) {
+    PREFREP_ASSIGN_OR_RETURN(compiled,
+                             PreparedQuery::Compile(problem.db(), query));
+    prepared = &*compiled;
+  }
+  const std::vector<int> observable = ObservableComponents(problem, query);
+  return EnumeratedConsistentAnswer(problem, priority, plan.effective_family,
+                                    *prepared, &observable, options.parallel);
 }
 
 Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
@@ -294,7 +324,8 @@ Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
       return SingleRepairAnswers(problem, query, options.prepared);
     case CqaTier::kGroundFastPath: {
       Result<OpenAnswer> answers = GroundConsistentOpenAnswers(
-          problem, query, options.max_dnf_disjuncts, context);
+          problem, query, options.max_dnf_disjuncts, context,
+          options.prepared);
       if (forced || answers.ok() ||
           answers.status().code() != StatusCode::kResourceExhausted) {
         return answers;
@@ -308,14 +339,21 @@ Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
     case CqaTier::kEnumeration:
       break;
   }
-  RepairFamily enumerate_as =
-      forced ? plan.requested_family : plan.effective_family;
-  if (options.prepared != nullptr) {
-    return EnumeratedConsistentAnswers(problem, priority, enumerate_as,
-                                       *options.prepared, options.parallel);
+  if (forced) {
+    return EnumeratedConsistentAnswers(problem, priority,
+                                       plan.requested_family, query,
+                                       options.parallel);
   }
-  return EnumeratedConsistentAnswers(problem, priority, enumerate_as, query,
-                                     options.parallel);
+  std::optional<PreparedQuery> compiled;
+  const PreparedQuery* prepared = options.prepared;
+  if (prepared == nullptr) {
+    PREFREP_ASSIGN_OR_RETURN(compiled,
+                             PreparedQuery::Compile(problem.db(), query));
+    prepared = &*compiled;
+  }
+  const std::vector<int> observable = ObservableComponents(problem, query);
+  return EnumeratedConsistentAnswers(problem, priority, plan.effective_family,
+                                     *prepared, &observable, options.parallel);
 }
 
 Result<AggregateRange> PlannedAggregateRange(
@@ -353,18 +391,23 @@ Result<AggregateRange> PlannedAggregateRange(
   } else {
     plan.tier = CqaTier::kEnumeration;
     plan.reason =
-        FamilyNote(plan) + "; " +
-        std::string(AggregateFunctionName(fn)) +
-        " range needs the per-repair aggregate -> enumeration";
+        FamilyNote(plan) + "; " + std::string(AggregateFunctionName(fn)) +
+        (fn == AggregateFunction::kAvg
+             ? " range enumerates the relation's components"
+             : " range folds per-component family ranges");
   }
   if (executed != nullptr) *executed = plan;
   if (plan.tier == CqaTier::kGroundFastPath) {
     return CountStarRange(problem, relation, context);
   }
-  RepairFamily enumerate_as =
-      forced ? plan.requested_family : plan.effective_family;
-  return AggregateConsistentRange(problem, priority, enumerate_as, relation,
-                                  attribute, fn, options.parallel);
+  // Forced enumeration is the reference: the requested family over every
+  // repair of the product.
+  if (forced) {
+    return AggregateConsistentRange(problem, priority, plan.requested_family,
+                                    relation, attribute, fn, options.parallel);
+  }
+  return DecomposedAggregateRange(problem, priority, plan.effective_family,
+                                  relation, attribute, fn, options.parallel);
 }
 
 namespace {

@@ -18,9 +18,16 @@
 //     quantifier-free negation-free open queries to
 //     GroundConsistentOpenAnswers, and COUNT(*) aggregation to
 //     CountStarRange. Data-polynomial; never enumerates repairs.
-//   Tier 2, kEnumeration: the sharded repair-product engine
-//     (EnumeratedConsistentAnswer[s]) — always sound, exponential in the
-//     worst case.
+//   Tier 2, kEnumeration: the repair-product engine
+//     (EnumeratedConsistentAnswer[s]) over the query's observable
+//     components only (ObservableComponents, computed per execution from
+//     problem.decomposition()); components whose projected priority is
+//     total collapse to Algorithm 1's single output under S-, G- and
+//     C-Rep (P4). Aggregates fold per-component ranges
+//     (DecomposedAggregateRange). Always sound; exponential only in the
+//     observable components' families. A forced kEnumeration runs the
+//     unpruned product over every component, each one searched without
+//     the collapse — the differential reference for both.
 //
 // ExplainPlan exposes the decision so tests, benches, and the shell can
 // assert which tier fires; the Planned* entry points plan and execute,
@@ -28,9 +35,10 @@
 // conversion blows the budget falls back to tier 2 at runtime).
 //
 // Equivalence of the tiers is pinned by the randomized differential
-// suite in tests/planner_test.cc: planner-forced fast paths against
-// planner-forced enumeration, across all five families, both priority
-// kinds, and every query shape class.
+// suites in tests/planner_test.cc: planner-chosen fast paths and the
+// pruned tier 2 against planner-forced enumeration, across all five
+// families, empty / total / partial ranking / DAG priorities, and every
+// query shape class.
 
 #ifndef PREFREP_CQA_PLANNER_H_
 #define PREFREP_CQA_PLANNER_H_
@@ -122,6 +130,28 @@ CqaPlan ExplainPlan(const RepairProblem& problem, const Priority& priority,
                     RepairFamily family, const Query& query,
                     CqaRequest request, const CqaPlannerOptions& options = {});
 
+// How tier 2 splits the conflict components for a query: components no
+// atom can observe (pruned; cqa.h ObservableComponents), components whose
+// projected priority is total under S-, G- or C-Rep (collapsed to
+// Algorithm 1's one output), and the rest (enumerated). A tier-2
+// execution records the same counts in its ExecutionStats.
+struct ComponentSplitCounts {
+  size_t pruned = 0;
+  size_t collapsed = 0;
+  size_t enumerated = 0;
+
+  // "components: 214 pruned, 1 collapsed, 1 enumerated".
+  std::string ToString() const;
+};
+
+// The split a tier-2 execution of `query` would use, under the family the
+// planner runs (EffectiveFamily). Computed per call from the problem's
+// current decomposition; never part of a CqaPlan, which outlives it.
+ComponentSplitCounts ExplainComponentSplit(const RepairProblem& problem,
+                                           const Priority& priority,
+                                           RepairFamily family,
+                                           const Query& query);
+
 // Plan + dispatch for PreferredConsistentAnswer. `executed` (optional)
 // receives the plan that actually ran, after any runtime fallback.
 Result<CqaVerdict> PlannedConsistentAnswer(
@@ -137,9 +167,10 @@ Result<OpenAnswer> PlannedConsistentAnswers(
     const CqaPlannerOptions& options = {}, CqaPlan* executed = nullptr);
 
 // Plan + dispatch for aggregation ranges: COUNT under a Rep-equivalent
-// plan routes to the polynomial per-component CountStarRange; everything
-// else enumerates via AggregateConsistentRange (under the effective
-// family). Conflict-free instances aggregate the database once.
+// plan routes to the polynomial per-component CountStarRange (tier 1);
+// everything else runs DecomposedAggregateRange under the effective
+// family (tier 2). A forced kEnumeration runs the reference
+// AggregateConsistentRange over every repair.
 Result<AggregateRange> PlannedAggregateRange(
     const RepairProblem& problem, const Priority& priority,
     RepairFamily family, std::string_view relation,

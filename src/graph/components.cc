@@ -196,20 +196,23 @@ void ComponentDecomposition::Gather(int c, const DynamicBitset& global,
 
 ComponentProductEnumerator::ComponentProductEnumerator(
     const ComponentDecomposition& decomposition,
-    std::vector<std::vector<DynamicBitset>> choices, ExecutionContext* context)
-    : decomposition_(decomposition),
-      owned_choices_(std::move(choices)),
-      choices_(&owned_choices_),
-      context_(context) {
-  CHECK_EQ(choices_->size(), decomposition_.components().size());
+    const ComponentProduct* product, ExecutionContext* context)
+    : decomposition_(decomposition), product_(product), context_(context) {
+  CHECK_EQ(product_->choices.size(), product_->components.size());
+  CHECK_EQ(product_->base.size(), decomposition_.vertex_count());
 }
 
 ComponentProductEnumerator::ComponentProductEnumerator(
     const ComponentDecomposition& decomposition,
-    const std::vector<std::vector<DynamicBitset>>* choices,
-    ExecutionContext* context)
-    : decomposition_(decomposition), choices_(choices), context_(context) {
-  CHECK_EQ(choices_->size(), decomposition_.components().size());
+    std::vector<std::vector<DynamicBitset>> choices, ExecutionContext* context)
+    : decomposition_(decomposition), product_(&owned_), context_(context) {
+  CHECK_EQ(choices.size(), decomposition_.components().size());
+  owned_.base = decomposition_.isolated();
+  owned_.components.resize(choices.size());
+  for (size_t c = 0; c < choices.size(); ++c) {
+    owned_.components[c] = static_cast<int>(c);
+  }
+  owned_.choices = std::move(choices);
 }
 
 bool ComponentProductEnumerator::Enumerate(
@@ -220,14 +223,11 @@ bool ComponentProductEnumerator::Enumerate(
 bool ComponentProductEnumerator::EnumerateSlices(
     const std::vector<DigitRange>& ranges,
     const std::function<bool(const DynamicBitset&)>& callback) {
-  const std::vector<std::vector<DynamicBitset>>& choices = *choices_;
+  const std::vector<std::vector<DynamicBitset>>& choices = product_->choices;
+  const std::vector<int>& components = product_->components;
   int digits = static_cast<int>(choices.size());
-  if (digits == 0) {
-    // No non-singleton components: the unique combination keeps exactly
-    // the isolated vertices.
-    DynamicBitset scratch = decomposition_.isolated();
-    return callback(scratch);
-  }
+  DynamicBitset scratch = product_->base;
+  if (digits == 0) return callback(scratch);  // the one combination: base
   std::vector<size_t> begins(digits, 0);
   std::vector<size_t> ends(digits);
   for (int d = 0; d < digits; ++d) ends[d] = choices[d].size();
@@ -240,11 +240,10 @@ bool ComponentProductEnumerator::EnumerateSlices(
   for (int d = 0; d < digits; ++d) {
     if (begins[d] >= ends[d]) return true;  // empty box (or empty list)
   }
-  DynamicBitset scratch = decomposition_.isolated();
   std::vector<size_t> index(digits);
   for (int d = 0; d < digits; ++d) {
     index[d] = begins[d];
-    decomposition_.Scatter(d, choices[d][index[d]], scratch);
+    decomposition_.Scatter(components[d], choices[d][index[d]], scratch);
   }
   while (true) {
     if (context_ != nullptr && context_->ShouldStop()) return false;
@@ -255,24 +254,18 @@ bool ComponentProductEnumerator::EnumerateSlices(
     int d = 0;
     while (d < digits && index[d] + 1 == ends[d]) {
       index[d] = begins[d];
-      decomposition_.Scatter(d, choices[d][index[d]], scratch);
+      decomposition_.Scatter(components[d], choices[d][index[d]], scratch);
       ++d;
     }
     if (d == digits) return true;
     ++index[d];
-    decomposition_.Scatter(d, choices[d][index[d]], scratch);
+    decomposition_.Scatter(components[d], choices[d][index[d]], scratch);
   }
-}
-
-bool ComponentProductEnumerator::EnumerateSlice(
-    int c, size_t begin, size_t end,
-    const std::function<bool(const DynamicBitset&)>& callback) {
-  return EnumerateSlices({{c, begin, end}}, callback);
 }
 
 BigUint ComponentProductEnumerator::Count() const {
   BigUint total = BigUint::One();
-  for (const std::vector<DynamicBitset>& options : *choices_) {
+  for (const std::vector<DynamicBitset>& options : product_->choices) {
     total *= BigUint(options.size());
   }
   return total;

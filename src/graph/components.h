@@ -135,39 +135,49 @@ class ComponentDecomposition {
   std::vector<int> local_index_;
 };
 
-// Lazily enumerates the cross product of per-component choice lists as
-// full-universe bitsets (isolated vertices always present). `choices[c]`
-// holds local-universe bitsets for decomposition component c. The product
-// is streamed through one reusable scratch bitset — no allocation per
-// output — and the callback can stop enumeration early by returning false.
+// The cross product of choice lists over some components of a
+// decomposition. Every member is `base` with, for each digit d, one entry
+// of choices[d] (a local-universe bitset) scattered over component
+// components[d]. Components listed nowhere keep whatever `base` holds for
+// them: the isolated vertices always, and either a fixed choice or
+// nothing for the rest (see core/families.h MaterializeFamilyProduct).
+struct ComponentProduct {
+  DynamicBitset base;
+  std::vector<int> components;  // digit -> component index, ascending
+  std::vector<std::vector<DynamicBitset>> choices;  // digit -> its list
+};
+
+// Lazily enumerates a ComponentProduct as full-universe bitsets. The
+// product is streamed through one reusable scratch bitset — no allocation
+// per output — and the callback can stop enumeration early by returning
+// false.
 class ComponentProductEnumerator {
  public:
   // `context`, when set, is polled at every odometer tick; an interrupt
-  // stops enumeration (Enumerate* return false).
+  // stops enumeration (Enumerate* return false). `product` must outlive
+  // the enumerator; several enumerators (one per worker thread) may walk
+  // disjoint slices of one read-only product.
+  ComponentProductEnumerator(const ComponentDecomposition& decomposition,
+                             const ComponentProduct* product,
+                             ExecutionContext* context = nullptr);
+  // Product over every component: `choices[c]` holds component c's list
+  // and `base` is the isolated vertices.
   ComponentProductEnumerator(const ComponentDecomposition& decomposition,
                              std::vector<std::vector<DynamicBitset>> choices,
                              ExecutionContext* context = nullptr);
-  // Borrowing form for sharded consumers: several enumerators (one per
-  // worker thread) walk disjoint slices of one read-only choice table.
-  // `choices` must outlive the enumerator.
-  ComponentProductEnumerator(
-      const ComponentDecomposition& decomposition,
-      const std::vector<std::vector<DynamicBitset>>* choices,
-      ExecutionContext* context = nullptr);
 
-  // Not copyable/movable: choices_ may point into owned_choices_, and the
-  // defaulted operations would leave the copy aimed at the source's
-  // buffer.
+  // Not copyable/movable: product_ may point at owned_, and the defaulted
+  // operations would leave the copy aimed at the source's product.
   ComponentProductEnumerator(const ComponentProductEnumerator&) = delete;
   ComponentProductEnumerator& operator=(const ComponentProductEnumerator&) =
       delete;
 
   // Visits every combination exactly once (order unspecified); returns true
   // iff enumeration ran to completion. An empty choice list for any
-  // component makes the product empty (vacuously complete).
+  // digit makes the product empty (vacuously complete).
   bool Enumerate(const std::function<bool(const DynamicBitset&)>& callback);
 
-  // A constraint on one digit of the product: component `digit`'s choice
+  // A constraint on one digit of the product: digit `digit`'s choice
   // index ranges over [begin, end) instead of its full list.
   struct DigitRange {
     int digit;
@@ -175,8 +185,8 @@ class ComponentProductEnumerator {
     size_t end;
   };
 
-  // Enumerates the box of the product where each constrained component
-  // ranges over its DigitRange and every unconstrained component over its
+  // Enumerates the box of the product where each constrained digit
+  // ranges over its DigitRange and every unconstrained digit over its
   // full list (`ranges` may name each digit at most once). Boxes that
   // partition the full box partition the product — this is how cqa.cc
   // shards the per-repair evaluation loop across workers. Any empty range
@@ -184,26 +194,22 @@ class ComponentProductEnumerator {
   bool EnumerateSlices(const std::vector<DigitRange>& ranges,
                        const std::function<bool(const DynamicBitset&)>& callback);
 
-  // Single-digit convenience form of EnumerateSlices.
-  bool EnumerateSlice(int c, size_t begin, size_t end,
-                      const std::function<bool(const DynamicBitset&)>& callback);
-
   // Exact product size in BigUint arithmetic.
   [[nodiscard]] BigUint Count() const;
 
  private:
   const ComponentDecomposition& decomposition_;
-  std::vector<std::vector<DynamicBitset>> owned_choices_;
-  const std::vector<std::vector<DynamicBitset>>* choices_;
+  ComponentProduct owned_;
+  const ComponentProduct* product_;
   ExecutionContext* context_;
 };
 
-// Fills lists[c] for every component by running `produce` — serially, or
+// Fills lists[i] for i in [0, count) by running `produce` — serially, or
 // fanned out over a work-stealing pool when options.threads > 1 and there
-// is more than one component. `produce(c, out, budget)` appends component
-// c's choice list, charging the shared arbiter, and returns false on
+// is more than one list. `produce(i, out, budget)` appends list i (one
+// component's choices), charging the shared arbiter, and returns false on
 // overflow or interrupt; it must be safe to run concurrently for distinct
-// c (engines constructed inside a produce call are per-task and therefore
+// i (engines constructed inside a produce call are per-task and therefore
 // confined to one thread). Pass `pool` to reuse a caller-owned ThreadPool
 // (cqa.cc shares one pool between materialization and eval sharding);
 // with nullptr a pool is created on demand.
@@ -216,11 +222,9 @@ class ComponentProductEnumerator {
 // when it was interrupted mid-materialization.
 template <typename ProduceComponent>
 [[nodiscard]] Status MaterializeComponentLists(
-    const ComponentDecomposition& decomposition,
-    const ParallelOptions& options, ProduceComponent&& produce,
+    size_t count, const ParallelOptions& options, ProduceComponent&& produce,
     std::vector<std::vector<DynamicBitset>>* lists,
     ThreadPool* pool = nullptr) {
-  const size_t count = decomposition.components().size();
   lists->assign(count, {});
   ExecutionContext* context = options.context;
   ResourceArbiter arbiter(
@@ -288,7 +292,8 @@ std::optional<bool> TryEnumerateViaComponentProduct(
     const std::function<bool(const DynamicBitset&)>& callback) {
   std::vector<std::vector<DynamicBitset>> lists;
   Status materialized = MaterializeComponentLists(
-      decomposition, options, std::forward<ProduceComponent>(produce), &lists);
+      decomposition.components().size(), options,
+      std::forward<ProduceComponent>(produce), &lists);
   if (materialized.code() == StatusCode::kResourceExhausted) {
     lists.clear();
     lists.shrink_to_fit();  // free before the caller's streaming fallback

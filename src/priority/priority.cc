@@ -1,6 +1,7 @@
 #include "priority/priority.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/components.h"
 #include "graph/digraph.h"
@@ -9,6 +10,8 @@ namespace prefrep {
 
 namespace {
 
+// `arcs` must be sorted and free of duplicates (Create's normal form), so
+// each arc's reverse is one binary search away.
 Status ValidateArcs(const ConflictGraph& graph,
                     const std::vector<std::pair<int, int>>& arcs) {
   int n = graph.vertex_count();
@@ -24,8 +27,7 @@ Status ValidateArcs(const ConflictGraph& graph,
     }
   }
   for (auto [x, y] : arcs) {
-    if (std::find(arcs.begin(), arcs.end(), std::make_pair(y, x)) !=
-        arcs.end()) {
+    if (std::binary_search(arcs.begin(), arcs.end(), std::make_pair(y, x))) {
       return Status::InvalidArgument("conflict edge (" + std::to_string(x) +
                                      "," + std::to_string(y) +
                                      ") oriented in both directions");
@@ -148,29 +150,38 @@ void WinnowInto(const Priority& priority, const DynamicBitset& r,
   });
 }
 
+Priority ProjectPriority(const ComponentDecomposition& decomposition, int c,
+                         const Priority& priority) {
+  CHECK_EQ(priority.vertex_count(), decomposition.vertex_count());
+  const GraphComponent& component = decomposition.components()[c];
+  const std::vector<std::pair<int, int>>& arcs = priority.arcs();
+  std::vector<std::pair<int, int>> local;
+  for (int x : component.vertices) {
+    // The arcs leaving x are one run of the sorted arc list; their heads
+    // conflict with x, so they lie in x's component.
+    auto it = std::lower_bound(arcs.begin(), arcs.end(),
+                               std::make_pair(x, std::numeric_limits<int>::min()));
+    for (; it != arcs.end() && it->first == x; ++it) {
+      DCHECK(decomposition.ComponentOf(it->second) == c)
+          << "priority arc across components";
+      local.emplace_back(decomposition.LocalIndex(x),
+                         decomposition.LocalIndex(it->second));
+    }
+  }
+  // Restricting an acyclic conflict-edge orientation to an induced
+  // subgraph keeps it valid, so Create cannot fail here.
+  auto projected = Priority::Create(component.graph, std::move(local));
+  CHECK(projected.ok()) << projected.status().ToString();
+  return *std::move(projected);
+}
+
 std::vector<Priority> ProjectPriorities(
     const ComponentDecomposition& decomposition, const Priority& priority) {
-  CHECK_EQ(priority.vertex_count(), decomposition.vertex_count());
-  // Bucket the arcs by component in one pass over the arc list.
-  size_t component_count = decomposition.components().size();
-  std::vector<std::vector<std::pair<int, int>>> arcs(component_count);
-  for (auto [x, y] : priority.arcs()) {
-    int c = decomposition.ComponentOf(x);
-    DCHECK(c == decomposition.ComponentOf(y))
-        << "priority arc across components";
-    DCHECK(c >= 0) << "priority arc on an isolated vertex";
-    arcs[c].emplace_back(decomposition.LocalIndex(x),
-                         decomposition.LocalIndex(y));
-  }
   std::vector<Priority> projected;
-  projected.reserve(component_count);
-  for (size_t c = 0; c < component_count; ++c) {
-    // Restricting an acyclic conflict-edge orientation to an induced
-    // subgraph keeps it valid, so Create cannot fail here.
-    auto local = Priority::Create(decomposition.components()[c].graph,
-                                  std::move(arcs[c]));
-    CHECK(local.ok()) << local.status().ToString();
-    projected.push_back(*std::move(local));
+  projected.reserve(decomposition.components().size());
+  for (int c = 0; c < static_cast<int>(decomposition.components().size());
+       ++c) {
+    projected.push_back(ProjectPriority(decomposition, c, priority));
   }
   return projected;
 }

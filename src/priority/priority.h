@@ -95,11 +95,17 @@ class Priority {
 void WinnowInto(const Priority& priority, const DynamicBitset& r,
                 DynamicBitset& out);
 
-// Restricts `priority` to each non-singleton component of `decomposition`,
-// remapped to local ids. Priority arcs always join conflicting tuples, so
-// every arc lands in exactly one component; the result has one entry per
-// decomposition.components() element.
+// Restricts `priority` to component c of `decomposition`, remapped to
+// local ids. Priority arcs always join conflicting tuples, so every arc
+// lands in exactly one component. Costs a binary search per member in the
+// sorted arc list, so a request that touches a few components never pays
+// for the rest.
 class ComponentDecomposition;
+[[nodiscard]] Priority ProjectPriority(
+    const ComponentDecomposition& decomposition, int c,
+    const Priority& priority);
+
+// ProjectPriority for every decomposition.components() element, in order.
 [[nodiscard]] std::vector<Priority> ProjectPriorities(
     const ComponentDecomposition& decomposition, const Priority& priority);
 

@@ -8,22 +8,6 @@
 
 namespace prefrep {
 
-namespace {
-
-// FNV-1a-style combination of O(1) value hashes; must hash a stored tuple
-// and a resolved term buffer identically.
-uint64_t HashValues(const Value* values, size_t count) {
-  Value::Hash vh;
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < count; ++i) {
-    h ^= vh(values[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 // Walks the validated AST once, numbering variables into frame slots
 // (lexically scoped: a quantifier shadowing an outer variable gets a fresh
 // slot), then derives per-slot types and domains from the compiled nodes.
@@ -36,13 +20,13 @@ class PreparedQuery::Compiler {
     PREFREP_ASSIGN_OR_RETURN(int root_index, CompileNode(root_));
     CHECK_EQ(root_index, 0);
     InferSlotTypes();
-    BuildDomains();
-    BuildTupleIndexes();
+    // A query without variables never reads a domain.
+    if (slot_count() > 0) BuildDomains();
 
     out.db_ = &db_;
     out.nodes_ = std::move(nodes_);
-    out.domains_ = std::move(domains_);
-    out.indexes_ = std::move(indexes_);
+    out.domains_ = std::make_shared<const std::vector<std::vector<Value>>>(
+        std::move(domains_));
     out.frame_.assign(slot_count(), Value());
     // Free variables sorted by name — the answer column order.
     std::vector<std::pair<std::string, int>> free_vars(
@@ -232,29 +216,11 @@ class PreparedQuery::Compiler {
     }
   }
 
-  // Exact-tuple indexes for the relations the query actually touches.
-  void BuildTupleIndexes() {
-    indexes_.resize(db_.relation_count());
-    for (const Node& n : nodes_) {
-      if (n.kind != QueryKind::kAtom) continue;
-      TupleIndex& index = indexes_[n.relation];
-      if (index.built) continue;
-      index.built = true;
-      const Relation& rel = db_.relations()[n.relation];
-      index.rows.reserve(static_cast<size_t>(rel.size()));
-      for (int row = 0; row < rel.size(); ++row) {
-        const std::vector<Value>& values = rel.tuple(row).values();
-        index.rows[HashValues(values.data(), values.size())].push_back(row);
-      }
-    }
-  }
-
   const Database& db_;
   const Query& root_;
   std::vector<Node> nodes_;
   std::vector<SlotType> slot_types_;
   std::vector<std::vector<Value>> domains_;
-  std::vector<TupleIndex> indexes_;
   // Innermost-binder-first scope stack per variable name.
   std::unordered_map<std::string, std::vector<int>> scopes_;
   std::unordered_map<std::string, int> free_slots_by_name_;
@@ -313,22 +279,9 @@ bool PreparedQuery::EvalAtom(const Node& n, const DynamicBitset* mask) const {
     for (const CompiledTerm& t : n.terms) wanted_heap.push_back(Resolve(t));
     values = wanted_heap.data();
   }
-  const TupleIndex& index = indexes_[n.relation];
-  auto it = index.rows.find(HashValues(values, count));
-  if (it == index.rows.end()) return false;
-  const Relation& rel = db_->relations()[n.relation];
-  for (int32_t row : it->second) {
-    if (mask != nullptr && !mask->Test(db_->GlobalId(n.relation, row))) {
-      continue;
-    }
-    const Tuple& t = rel.tuple(row);
-    bool match = true;
-    for (size_t i = 0; i < count && match; ++i) {
-      match = t.value(static_cast<int>(i)) == values[i];
-    }
-    if (match) return true;
-  }
-  return false;
+  int row = db_->relations()[n.relation].FindRow({values, count});
+  if (row < 0) return false;
+  return mask == nullptr || mask->Test(db_->GlobalId(n.relation, row));
 }
 
 bool PreparedQuery::EvalQuantifier(const Node& n, bool existential,
@@ -338,7 +291,7 @@ bool PreparedQuery::EvalQuantifier(const Node& n, bool existential,
     return EvalNode(n.children[0], mask);
   }
   int slot = n.slots[var_index];
-  for (const Value& v : domains_[slot]) {
+  for (const Value& v : (*domains_)[slot]) {
     frame_[slot] = v;
     bool result = EvalQuantifier(n, existential, var_index + 1, mask);
     if (existential && result) return true;
@@ -373,7 +326,7 @@ Result<OpenAnswer> PreparedQuery::EvalOpen(const DynamicBitset* mask) const {
   // Odometer over the free variables' domains (no recursion closure;
   // this runs once per repair in PreferredConsistentAnswers).
   for (size_t i = 0; i < vars; ++i) {
-    const std::vector<Value>& domain = domains_[free_slots_[i]];
+    const std::vector<Value>& domain = (*domains_)[free_slots_[i]];
     if (domain.empty()) return answer;  // no assignments at all
     frame_[free_slots_[i]] = domain[0];
   }
@@ -390,7 +343,7 @@ Result<OpenAnswer> PreparedQuery::EvalOpen(const DynamicBitset* mask) const {
     size_t i = vars;
     while (i > 0) {
       --i;
-      const std::vector<Value>& domain = domains_[free_slots_[i]];
+      const std::vector<Value>& domain = (*domains_)[free_slots_[i]];
       if (++pos[i] < domain.size()) {
         frame_[free_slots_[i]] = domain[pos[i]];
         break;

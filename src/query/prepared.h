@@ -3,8 +3,7 @@
 // Preferred-consistent-answer semantics (cqa/cqa.h) evaluates one fixed
 // query in every enumerated repair of one fixed database, so anything the
 // evaluator derives from the (database, query) pair alone is loop-invariant:
-// validation, variable typing, the active domain, relation lookups, and
-// tuple indexes. The seed evaluator (query/evaluator.h) recomputes all of
+// validation, variable typing, the active domain and relation lookups. The seed evaluator (query/evaluator.h) recomputes all of
 // it per call; PreparedQuery hoists it into a single Compile step so that
 // the per-repair work is only the quantifier search itself, against the
 // repair's DynamicBitset mask:
@@ -12,9 +11,9 @@
 //   - variables are numbered into dense frame slots (array indexing instead
 //     of std::map<std::string, Value> environments),
 //   - every atom is resolved to its relation index at compile time,
-//   - atom checks are O(arity) hash probes against a per-relation tuple
-//     index (every term is bound when an atom is reached, so the probe is
-//     an exact-tuple lookup), filtered by the mask bit,
+//   - atom checks are O(arity) hash probes against the relation's own
+//     tuple index (every term is bound when an atom is reached, so the
+//     probe is an exact-tuple lookup), filtered by the mask bit,
 //   - each variable's domain (active domain restricted by inferred types)
 //     is materialized once.
 //
@@ -37,8 +36,8 @@
 #ifndef PREFREP_QUERY_PREPARED_H_
 #define PREFREP_QUERY_PREPARED_H_
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/bitset.h"
@@ -80,7 +79,7 @@ class PreparedQuery {
   struct Node {
     QueryKind kind = QueryKind::kTrue;
     // kAtom.
-    int relation = -1;  // index into both db_->relations() and indexes_
+    int relation = -1;  // index into db_->relations()
     std::vector<CompiledTerm> terms;
     // kComparison.
     ComparisonOp op = ComparisonOp::kEq;
@@ -89,13 +88,6 @@ class PreparedQuery {
     std::vector<int> children;
     // kExists / kForAll.
     std::vector<int> slots;
-  };
-
-  // Exact-tuple hash index over one relation: value-hash -> rows with that
-  // hash (collisions are verified against the stored tuples).
-  struct TupleIndex {
-    bool built = false;
-    std::unordered_map<uint64_t, std::vector<int32_t>> rows;
   };
 
   class Compiler;
@@ -113,11 +105,10 @@ class PreparedQuery {
   std::vector<std::string> free_variables_;
   std::vector<int> free_slots_;  // frame slot of each free variable
   // Candidate values per frame slot (active domain restricted by the
-  // slot's inferred type).
-  std::vector<std::vector<Value>> domains_;
-  // Tuple indexes for the relations referenced by atoms (index-aligned
-  // with db_->relations(); unreferenced relations stay unbuilt).
-  std::vector<TupleIndex> indexes_;
+  // slot's inferred type). Immutable after Compile and shared by copies,
+  // so the private copy an evaluation takes costs O(query), not O(domain).
+  std::shared_ptr<const std::vector<std::vector<Value>>> domains_;
+
   // Scratch: variable bindings during evaluation (size = slot count).
   mutable std::vector<Value> frame_;
 };

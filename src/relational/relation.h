@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +46,12 @@ class Relation {
 
   // Row index of `tuple` if present.
   Result<int> Find(const Tuple& tuple) const;
+  // Row index of the tuple with exactly these values, or -1: the same hash
+  // probe as Find, without building a Tuple or a Status.
+  int FindRow(std::span<const Value> values) const {
+    auto it = rep_->index.find(values);
+    return it == rep_->index.end() ? -1 : it->second;
+  }
   bool Contains(const Tuple& tuple) const { return Find(tuple).ok(); }
 
   // True iff both relations point at the same underlying storage (they are
@@ -62,7 +69,7 @@ class Relation {
     Schema schema;
     std::vector<Tuple> tuples;
     std::vector<TupleMeta> meta;
-    std::unordered_map<Tuple, int, Tuple::Hash> index;
+    std::unordered_map<Tuple, int, Tuple::Hash, Tuple::Eq> index;
   };
 
   // Clones the representation if it is shared with another Relation.

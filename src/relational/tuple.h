@@ -3,7 +3,9 @@
 #ifndef PREFREP_RELATIONAL_TUPLE_H_
 #define PREFREP_RELATIONAL_TUPLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,15 +44,30 @@ class Tuple {
     return a.values_ < b.values_;
   }
 
+  // Transparent: a tuple and the span of its values hash and compare
+  // alike, so an index keyed by Tuple can be probed without building one.
   struct Hash {
-    size_t operator()(const Tuple& t) const {
+    using is_transparent = void;
+    size_t operator()(std::span<const Value> values) const {
       Value::Hash vh;
       size_t h = 1469598103934665603ull;
-      for (const Value& v : t.values_) {
+      for (const Value& v : values) {
         h ^= vh(v);
         h *= 1099511628211ull;
       }
       return h;
+    }
+    size_t operator()(const Tuple& t) const { return (*this)(t.values_); }
+  };
+  struct Eq {
+    using is_transparent = void;
+    bool operator()(const Tuple& a, const Tuple& b) const { return a == b; }
+    bool operator()(std::span<const Value> a, const Tuple& b) const {
+      return std::equal(a.begin(), a.end(), b.values_.begin(),
+                        b.values_.end());
+    }
+    bool operator()(const Tuple& a, std::span<const Value> b) const {
+      return (*this)(b, a);
     }
   };
 

@@ -11,18 +11,23 @@ Result<RepairProblem> RepairProblem::Create(
   problem.db_ = db;
   problem.fds_ = std::move(fds);
   problem.graph_ = ConflictGraph(db->tuple_count(), edges);
+  problem.decomposition_ =
+      std::make_shared<const ComponentDecomposition>(problem.graph_);
   return problem;
 }
 
 RepairProblem RepairProblem::FromPrecomputedGraph(
     const Database* db, std::vector<FunctionalDependency> fds,
-    ConflictGraph graph) {
+    ConflictGraph graph, ComponentDecomposition decomposition) {
   CHECK(db != nullptr);
   CHECK_EQ(graph.vertex_count(), db->tuple_count());
+  CHECK_EQ(decomposition.vertex_count(), graph.vertex_count());
   RepairProblem problem;
   problem.db_ = db;
   problem.fds_ = std::move(fds);
   problem.graph_ = std::move(graph);
+  problem.decomposition_ =
+      std::make_shared<const ComponentDecomposition>(std::move(decomposition));
   return problem;
 }
 

@@ -98,7 +98,7 @@ Session::Session(std::shared_ptr<const Snapshot> snapshot,
     : snapshot_(std::move(snapshot)),
       options_(options),
       prepared_cache_(options.max_cache_entries),
-      plan_cache_(options.max_cache_entries),
+      plan_cache_(std::make_shared<SharedPlanCache>(options.max_cache_entries)),
       result_cache_(options.max_cache_entries),
       paused_(options.start_paused) {
   const Database& db = snapshot_->db();
@@ -151,18 +151,6 @@ Session::~Session() {
 
 // ---- caches ---------------------------------------------------------------
 
-std::vector<int> Session::ComponentsForRelations(
-    const std::vector<int>& relations) const {
-  std::vector<int> out;
-  for (int relation : relations) {
-    const std::vector<int>& row = relation_components_[relation];
-    out.insert(out.end(), row.begin(), row.end());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 Session::ResultFootprint Session::FootprintFor(const Query& query,
                                                const Priority& priority) const {
   ResultFootprint footprint;
@@ -173,7 +161,6 @@ Session::ResultFootprint Session::FootprintFor(const Query& query,
     if (relation.ok()) footprint.relations.push_back(*relation);
   }
   std::sort(footprint.relations.begin(), footprint.relations.end());
-  footprint.components = ComponentsForRelations(footprint.relations);
   for (const auto& [x, y] : priority.arcs()) {
     footprint.max_tuple_id = std::max(footprint.max_tuple_id, std::max(x, y));
   }
@@ -187,9 +174,10 @@ void Session::SeedFromParent(const Session& parent) {
   CHECK_EQ(info->parent_id, parent.snapshot().id())
       << "snapshot was not derived from the parent session's snapshot";
 
-  // Relation stability in the new version: untouched by the delta AND all
+  // Relation stability in the new version: untouched by the delta, all
   // ids below first_shifted_id (so global ids — mask bits, priority arcs —
-  // denote the same tuples).
+  // denote the same tuples), and no dirty parent component among the
+  // components it overlaps.
   const Database& db = snapshot_->db();
   std::vector<bool> stable(db.relation_count(), true);
   for (int relation : info->touched_relations) stable[relation] = false;
@@ -198,7 +186,10 @@ void Session::SeedFromParent(const Session& parent) {
     int size = db.relations()[relation].size();
     // Ids are appended per relation in insertion order: the last row holds
     // the relation's largest global id.
-    if (size > 0 && db.GlobalId(relation, size - 1) >= info->first_shifted_id) {
+    if ((size > 0 &&
+         db.GlobalId(relation, size - 1) >= info->first_shifted_id) ||
+        SortedIntersect(parent.relation_components_[relation],
+                        info->dirty_parent_components)) {
       stable[relation] = false;
     }
   }
@@ -209,39 +200,29 @@ void Session::SeedFromParent(const Session& parent) {
       (snapshot_->graph().edge_count() == 0);
 
   std::scoped_lock lock(cache_mu_, parent.cache_mu_);
-  if (plans_transfer) {
-    parent.plan_cache_.ForEachLruToMru(
-        [&](const std::string& key, const CqaPlan& plan) {
-          plan_cache_.Put(key, plan);
-          ++stats_.seeded_plans;
-        });
-  } else {
-    stats_.seed_dropped += parent.plan_cache_.size();
+  {
+    std::lock_guard<std::mutex> plans(parent.plan_cache_->mu);
+    const size_t plan_count = parent.plan_cache_->plans.size();
+    if (plans_transfer) {
+      plan_cache_ = parent.plan_cache_;
+      stats_.seeded_plans += plan_count;
+    } else {
+      stats_.seed_dropped += plan_count;
+    }
   }
   parent.result_cache_.ForEachLruToMru([&](const std::string& key,
                                            const CachedResult& entry) {
     const ResultFootprint& footprint = entry.footprint;
     bool survives = info->domain_preserved &&
-                    footprint.max_tuple_id < info->first_shifted_id &&
-                    !SortedIntersect(footprint.components,
-                                     info->dirty_parent_components);
-    if (survives) {
-      for (int relation : footprint.relations) {
-        if (!stable[relation]) {
-          survives = false;
-          break;
-        }
-      }
+                    footprint.max_tuple_id < info->first_shifted_id;
+    for (int relation : footprint.relations) {
+      survives = survives && stable[relation];
     }
     if (!survives) {
       ++stats_.seed_dropped;
       return;
     }
-    CachedResult seeded = entry;
-    // Re-express the component footprint in the new decomposition's ids.
-    seeded.footprint.components =
-        ComponentsForRelations(seeded.footprint.relations);
-    result_cache_.Put(key, std::move(seeded));
+    result_cache_.Put(key, entry);
     ++stats_.seeded_results;
   });
   // Prepared masters are intentionally not seeded: they are compiled
@@ -272,6 +253,19 @@ Result<std::shared_ptr<const PreparedQuery>> Session::PreparedFor(
   return master;
 }
 
+std::optional<CqaPlan> Session::CachedPlan(const std::string& key) {
+  std::lock_guard<std::mutex> lock(plan_cache_->mu);
+  const CqaPlan* plan = plan_cache_->plans.Get(key);
+  ++(plan != nullptr ? stats_.plan_hits : stats_.plan_misses);
+  if (plan == nullptr) return std::nullopt;
+  return *plan;
+}
+
+void Session::CachePlan(const std::string& key, const CqaPlan& plan) {
+  std::lock_guard<std::mutex> lock(plan_cache_->mu);
+  plan_cache_->plans.Put(key, plan);
+}
+
 SessionCacheStats Session::cache_stats() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   return stats_;
@@ -280,7 +274,8 @@ SessionCacheStats Session::cache_stats() const {
 void Session::ClearCache() {
   std::lock_guard<std::mutex> lock(cache_mu_);
   prepared_cache_.Clear();
-  plan_cache_.Clear();
+  // A fresh plan cache: one shared with related sessions stays theirs.
+  plan_cache_ = std::make_shared<SharedPlanCache>(options_.max_cache_entries);
   result_cache_.Clear();
   // Counters restart with the emptied caches — a cleared session must not
   // report hit/miss/seed activity it can no longer back with entries.
@@ -321,13 +316,7 @@ Result<CqaVerdict> Session::EvalVerdict(const Query& query,
       return *entry->verdict;
     }
     ++stats_.result_misses;
-    CqaPlan* cached_plan = plan_cache_.Get(plan_key);
-    if (cached_plan != nullptr) {
-      ++stats_.plan_hits;
-      plan = *cached_plan;
-    } else {
-      ++stats_.plan_misses;
-    }
+    plan = CachedPlan(plan_key);
   }
   PREFREP_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
                            PreparedFor(query_text, query));
@@ -348,7 +337,7 @@ Result<CqaVerdict> Session::EvalVerdict(const Query& query,
     if (!plan.has_value()) {
       // Cache the plan that actually RAN (post any runtime fallback):
       // replaying it skips a doomed tier-1 attempt next time.
-      plan_cache_.Put(plan_key, ran);
+      CachePlan(plan_key, ran);
     }
     result_cache_.Put(result_key, std::move(entry));
   }
@@ -385,13 +374,7 @@ Result<OpenAnswer> Session::EvalAnswers(const Query& query,
       return *entry->answers;
     }
     ++stats_.result_misses;
-    CqaPlan* cached_plan = plan_cache_.Get(plan_key);
-    if (cached_plan != nullptr) {
-      ++stats_.plan_hits;
-      plan = *cached_plan;
-    } else {
-      ++stats_.plan_misses;
-    }
+    plan = CachedPlan(plan_key);
   }
   PREFREP_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
                            PreparedFor(query_text, query));
@@ -410,7 +393,7 @@ Result<OpenAnswer> Session::EvalAnswers(const Query& query,
     entry.footprint = FootprintFor(query, priority);
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (!plan.has_value()) {
-      plan_cache_.Put(plan_key, ran);
+      CachePlan(plan_key, ran);
     }
     result_cache_.Put(result_key, std::move(entry));
   }

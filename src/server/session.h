@@ -29,19 +29,19 @@
 // For a snapshot built by Snapshot::Derive, the derived-session
 // constructor seeds the plan and result caches from the parent session
 // instead of starting cold. Each result entry carries an invalidation
-// footprint — the referenced relations, the components they overlap, and
-// the largest tuple id in its priority-arc key — and survives iff the
-// delta left all of it untouched: the active domain is preserved, no
-// footprint relation was touched or had ids shift (all its ids below
-// first_shifted_id), and no footprint component is in the dirty set.
-// Surviving entries get their component footprint re-expressed in the new
-// decomposition; everything else is dropped. Plan entries are seeded
+// footprint — the referenced relations and the largest tuple id in its
+// priority-arc key — and survives iff the delta left all of it
+// untouched: the active domain is preserved, no footprint relation was
+// touched or had ids shift (all its ids below first_shifted_id), and no
+// component overlapping a footprint relation is in the dirty set;
+// everything else is dropped. The plan cache is shared with the parent
 // whenever conflict-free-ness didn't change (the only instance property
-// the planner reads). Prepared masters are NOT seeded: they are compiled
-// against the parent's tuple universe (mask sizes, domains) and recompile
-// lazily per query instead. All caches evict least-recently-used at
-// max_cache_entries (lru_cache.h); seeding preserves the parent's recency
-// order.
+// the planner reads), so seeding costs nothing per plan; ClearCache gives
+// a session a fresh one. Prepared masters are NOT seeded: they are
+// compiled against the parent's tuple universe (mask sizes, domains) and
+// recompile lazily per query instead. All caches evict
+// least-recently-used at max_cache_entries (lru_cache.h); seeding
+// preserves the parent's recency order.
 //
 // Submit/Wait run requests on the session's dispatcher thread with
 // admission control: at most max_pending_requests are queued or running,
@@ -230,11 +230,12 @@ class Session {
 
  private:
   // Everything the delta could invalidate about a cached result, recorded
-  // at insert time in the session's own snapshot terms.
+  // at insert time. Relation indices mean the same in every version; the
+  // components a footprint overlaps are read from relation_components_
+  // of the session that holds the entry.
   struct ResultFootprint {
-    std::vector<int> relations;   // referenced relation indices, sorted
-    std::vector<int> components;  // components overlapping them, sorted
-    TupleId max_tuple_id = -1;    // largest id in the priority-arc key
+    std::vector<int> relations;  // referenced relation indices, sorted
+    TupleId max_tuple_id = -1;   // largest id in the priority-arc key
   };
 
   struct CachedResult {
@@ -262,18 +263,18 @@ class Session {
   Result<std::shared_ptr<const PreparedQuery>> PreparedFor(
       const std::string& query_text, const Query& query);
 
-  // Components of this session's snapshot overlapping the given relation
-  // indices (sorted union of relation_components_ rows).
-  std::vector<int> ComponentsForRelations(
-      const std::vector<int>& relations) const;
   // The invalidation footprint of a (query, priority) result in this
   // snapshot's terms.
   ResultFootprint FootprintFor(const Query& query,
                                const Priority& priority) const;
-  // Copies surviving plan/result entries from `parent` (see the file
-  // comment for the survival conditions). Called by the derived-session
-  // constructor before any request runs.
+  // Shares the parent's plan cache and copies surviving result entries
+  // from `parent` (see the file comment for the conditions). Called by the
+  // derived-session constructor before any request runs.
   void SeedFromParent(const Session& parent);
+  // The plan cache's entry for `key`, counted as a plan hit or miss; and
+  // its insertion. Both run under cache_mu_.
+  std::optional<CqaPlan> CachedPlan(const std::string& key);
+  void CachePlan(const std::string& key, const CqaPlan& plan);
 
   Result<CqaVerdict> EvalVerdict(const Query& query, const Priority& priority,
                                  RepairFamily family,
@@ -293,13 +294,27 @@ class Session {
 
   // Components overlapping each relation (row = relation index), computed
   // once at construction — the snapshot is immutable, so this never
-  // changes. Used for result footprints.
+  // changes. A derived session reads its parent's rows to tell which
+  // relations the delta's dirty components overlap.
   std::vector<std::vector<int>> relation_components_;
 
   mutable std::mutex cache_mu_;
   SessionCacheStats stats_;
   LruCache<std::shared_ptr<const PreparedQuery>> prepared_cache_;
-  LruCache<CqaPlan> plan_cache_;
+  // Plans depend only on the request and on whether the snapshot is
+  // conflict-free, so a derived session whose snapshot agrees with its
+  // parent's on that shares the parent's plan cache instead of copying
+  // it (copying a full cache of 1024 plans made seeding a session about
+  // six times slower). Sessions that share the cache share its
+  // max_cache_entries as well, so one session's misses can evict plans
+  // another made. The pointer is guarded by cache_mu_, the cache by its
+  // own mutex (always taken after cache_mu_).
+  struct SharedPlanCache {
+    explicit SharedPlanCache(size_t capacity) : plans(capacity) {}
+    std::mutex mu;
+    LruCache<CqaPlan> plans;
+  };
+  std::shared_ptr<SharedPlanCache> plan_cache_;
   LruCache<CachedResult> result_cache_;
 
   mutable std::mutex queue_mu_;

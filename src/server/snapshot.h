@@ -89,7 +89,7 @@ struct SnapshotDeltaInfo {
 class Snapshot {
  public:
   // Takes ownership of `db` and `fds`, builds the conflict graph and the
-  // component decomposition. Fails (kInvalidArgument) when an FD names a
+  // component decomposition (RepairProblem::Create). Fails (kInvalidArgument) when an FD names a
   // relation or attribute the database does not have.
   static Result<std::shared_ptr<const Snapshot>> Create(
       Database db, std::vector<FunctionalDependency> fds);
@@ -114,7 +114,7 @@ class Snapshot {
   const RepairProblem& problem() const { return problem_; }
   const ConflictGraph& graph() const { return problem_.graph(); }
   const ComponentDecomposition& decomposition() const {
-    return *decomposition_;
+    return problem_.decomposition();
   }
   // Per-FD LHS probe index over db() (what Derive probes delta tuples
   // against).
@@ -139,8 +139,7 @@ class Snapshot {
   Snapshot() = default;
 
   std::unique_ptr<Database> db_;  // stable address: problem_ borrows it
-  RepairProblem problem_;
-  std::unique_ptr<ComponentDecomposition> decomposition_;
+  RepairProblem problem_;  // owns the graph and its decomposition
   FdConflictIndex conflict_index_;
   ValueCensus census_;
   std::unique_ptr<SnapshotDeltaInfo> delta_info_;

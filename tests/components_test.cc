@@ -267,13 +267,13 @@ TEST(ComponentProductEnumeratorTest, DisjointBoxesPartitionTheProduct) {
   }
   ConflictGraph g(12, edges);
   ComponentDecomposition d(g);
-  std::vector<std::vector<DynamicBitset>> choices;
+  ComponentProduct product{d.isolated(), {0, 1, 2}, {}};
   for (const GraphComponent& c : d.components()) {
     auto repairs = AllMaximalIndependentSets(c.graph);
     ASSERT_TRUE(repairs.ok());
-    choices.push_back(*std::move(repairs));
+    product.choices.push_back(*std::move(repairs));
   }
-  ComponentProductEnumerator full(d, &choices);
+  ComponentProductEnumerator full(d, &product);
   SetOfSets expected;
   EXPECT_TRUE(full.Enumerate([&expected](const DynamicBitset& r) {
     expected.insert(r.ToVector());
@@ -285,7 +285,7 @@ TEST(ComponentProductEnumeratorTest, DisjointBoxesPartitionTheProduct) {
   SetOfSets seen;
   for (size_t i = 0; i < 3; ++i) {            // digit 0 fixed per index
     for (auto [lo, hi] : {std::pair<size_t, size_t>{0, 2}, {2, 3}}) {
-      ComponentProductEnumerator box(d, &choices);
+      ComponentProductEnumerator box(d, &product);
       EXPECT_TRUE(box.EnumerateSlices(
           {DigitRange{0, i, i + 1}, DigitRange{1, lo, hi}},
           [&seen](const DynamicBitset& r) {
@@ -298,12 +298,41 @@ TEST(ComponentProductEnumeratorTest, DisjointBoxesPartitionTheProduct) {
   EXPECT_EQ(seen, expected);
 
   // An empty range makes the box a vacuously complete empty slice.
-  ComponentProductEnumerator empty_box(d, &choices);
+  ComponentProductEnumerator empty_box(d, &product);
   EXPECT_TRUE(empty_box.EnumerateSlices({DigitRange{2, 1, 1}},
                                         [](const DynamicBitset&) {
                                           ADD_FAILURE() << "empty box emitted";
                                           return true;
                                         }));
+}
+
+TEST(ComponentProductEnumeratorTest, ListedComponentsOnlyOverBase) {
+  // Three P4 components; the product lists components 0 and 2 and fixes
+  // nothing for component 1, whose bits must stay clear, while the base's
+  // bits (here one vertex of component 1's range) pass through untouched.
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < 3; ++i) {
+    int b = 4 * i;
+    edges.insert(edges.end(), {{b, b + 1}, {b + 1, b + 2}, {b + 2, b + 3}});
+  }
+  ConflictGraph g(12, edges);
+  ComponentDecomposition d(g);
+  ComponentProduct product{d.isolated(), {0, 2}, {}};
+  product.base.Set(5);
+  for (int c : product.components) {
+    auto repairs = AllMaximalIndependentSets(d.components()[c].graph);
+    ASSERT_TRUE(repairs.ok());
+    product.choices.push_back(*std::move(repairs));
+  }
+  ComponentProductEnumerator enumerator(d, &product);
+  EXPECT_EQ(enumerator.Count(), BigUint(9));
+  SetOfSets seen;
+  EXPECT_TRUE(enumerator.Enumerate([&](const DynamicBitset& r) {
+    for (int v = 4; v < 8; ++v) EXPECT_EQ(r.Test(v), v == 5);
+    seen.insert(r.ToVector());
+    return true;
+  }));
+  EXPECT_EQ(seen.size(), 9u);
 }
 
 // --------------------------------------------- composition property --

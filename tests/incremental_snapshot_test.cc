@@ -788,5 +788,122 @@ TEST(SnapshotDeriveTest, CancelledUnbalancedDeriveIsCleanAndRerunnable) {
   }
 }
 
+TEST(SessionSeedingTest, DerivedSessionSharesPlansUntilCleared) {
+  SeedFixture fx = MakeSeedFixture();
+  Session parent(fx.base);
+  Priority empty = Priority::Empty(fx.base->graph());
+  ASSERT_TRUE(parent.Ask(*MustParse("R(0, 0)"), empty, RepairFamily::kAll).ok());
+  DatabaseDelta delta(&fx.base->db());
+  ASSERT_TRUE(
+      delta.Insert("S", Tuple::Of(Value::Number(0), Value::Number(1))).ok());
+  auto derived = Snapshot::Derive(fx.base, delta);
+  ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+  Session child(*derived, parent);
+  EXPECT_EQ(child.cache_stats().seeded_plans, 1u);
+
+  // One plan cache: a plan the child makes is a plan hit for the parent.
+  ASSERT_TRUE(child.Ask(*MustParse("R(1, 0)"), empty, RepairFamily::kAll).ok());
+  SessionCacheStats before = parent.cache_stats();
+  ASSERT_TRUE(parent.Ask(*MustParse("R(1, 0)"), empty, RepairFamily::kAll).ok());
+  EXPECT_EQ(parent.cache_stats().plan_hits, before.plan_hits + 1);
+
+  // Clearing the child gives it a fresh cache and leaves the parent's.
+  child.ClearCache();
+  ASSERT_TRUE(child.Ask(*MustParse("R(0, 0)"), empty, RepairFamily::kAll).ok());
+  EXPECT_EQ(child.cache_stats().plan_misses, 1u);
+  before = parent.cache_stats();
+  ASSERT_TRUE(parent.Ask(*MustParse("R(2, 1)"), empty, RepairFamily::kAll).ok());
+  ASSERT_TRUE(parent.Ask(*MustParse("R(0, 0)"), empty, RepairFamily::kAll).ok());
+  EXPECT_EQ(parent.cache_stats().plan_hits, before.plan_hits);  // R(0, 0): a result hit
+  EXPECT_EQ(parent.cache_stats().plan_misses, before.plan_misses + 1);
+}
+
+TEST(SessionSeedingTest, SeededTier2PlansPruneInTheDerivedDecomposition) {
+  // Deleting R0's key group 0 removes a component ahead of every other
+  // one, so each later component changes index and every R1 tuple id
+  // shifts. Tier-2 plans seeded from the parent session must prune by the
+  // derived snapshot's components, not the parent's: answers must equal
+  // a session over a snapshot rebuilt from the post-delta database.
+  Rng rng(31);
+  GeneratedInstance inst = MakeMultiRelationComponentsInstance(
+      rng, /*relations=*/2, /*groups_per_relation=*/6, /*min_size=*/2,
+      /*max_size=*/4);
+  std::shared_ptr<const Snapshot> base = MustSnapshot(inst);
+  std::vector<std::unique_ptr<Query>> queries;
+  for (int k = 0; k < 6; ++k) {
+    const std::string key = std::to_string(k);
+    queries.push_back(MustParse("exists v, w . R1(" + key + ", v, w) and v = 0"));
+    queries.push_back(MustParse("R1(" + key + ", 1, 1) or R0(" + key + ", 0, 0)"));
+    queries.push_back(MustParse("exists w . R1(k, v, w) and k = " + key));
+  }
+  const std::vector<RepairFamily> families = {
+      RepairFamily::kLocal, RepairFamily::kSemiGlobal, RepairFamily::kGlobal,
+      RepairFamily::kCommon};
+  Session parent(base);
+  Priority parent_priority = RandomRankingPriority(rng, base->graph(), 0.6);
+  auto ask = [](Session& session, const Query& query,
+                const Priority& priority, RepairFamily family) {
+    CqaPlan executed;
+    std::string out;
+    if (query.IsClosed()) {
+      auto verdict = session.Ask(query, priority, family, {}, &executed);
+      CHECK(verdict.ok()) << verdict.status().ToString();
+      out = std::string(CqaVerdictName(*verdict));
+    } else {
+      auto answers = session.Answers(query, priority, family, {}, &executed);
+      CHECK(answers.ok()) << answers.status().ToString();
+      for (const Tuple& row : answers->rows) out += row.ToString() + ";";
+    }
+    EXPECT_EQ(executed.tier, CqaTier::kEnumeration) << query.ToString();
+    return out;
+  };
+  for (RepairFamily family : families) {
+    for (const auto& query : queries) {
+      ask(parent, *query, parent_priority, family);
+    }
+  }
+
+  DatabaseDelta delta(&base->db());
+  const Relation& r0 = *base->db().relation("R0").value();
+  for (int row = 0; row < r0.size(); ++row) {
+    if (r0.tuple(row).value(0).number() == 0) {
+      ASSERT_TRUE(delta.Delete(base->db().GlobalId(0, row)).ok());
+    }
+  }
+  auto derived = Snapshot::Derive(base, delta);
+  ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+  auto rebuilt = Snapshot::Create(*delta.ApplyNaive(), base->fds());
+  ASSERT_TRUE(rebuilt.ok());
+  ASSERT_EQ((*derived)->decomposition().components().size(),
+            base->decomposition().components().size() - 1);
+  Session seeded(*derived, parent);
+  Session cold(*rebuilt);
+  EXPECT_GT(seeded.cache_stats().seeded_plans, 0u);
+  // The same ranking on both graphs, which Derive makes identical.
+  Rng rank_seed(5);
+  Priority derived_priority =
+      RandomRankingPriority(rank_seed, (*derived)->graph(), 0.6);
+  Rng rank_seed_again(5);
+  Priority rebuilt_priority =
+      RandomRankingPriority(rank_seed_again, (*rebuilt)->graph(), 0.6);
+  ASSERT_EQ(derived_priority, rebuilt_priority);
+  for (RepairFamily family : families) {
+    for (const auto& query : queries) {
+      EXPECT_EQ(ask(seeded, *query, derived_priority, family),
+                ask(cold, *query, rebuilt_priority, family))
+          << RepairFamilyName(family) << " " << query->ToString();
+    }
+    for (AggregateFunction fn :
+         {AggregateFunction::kSum, AggregateFunction::kMin,
+          AggregateFunction::kAvg}) {
+      auto a = seeded.Aggregate("R1", "W", fn, derived_priority, family);
+      auto b = cold.Aggregate("R1", "W", fn, rebuilt_priority, family);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a->ToString(), b->ToString()) << RepairFamilyName(family);
+    }
+  }
+  EXPECT_GT(seeded.cache_stats().plan_hits, 0u);
+}
+
 }  // namespace
 }  // namespace prefrep

@@ -1,7 +1,8 @@
 // Tests for src/cqa/planner: tier classification (pinned via
 // ExplainPlan), the conflict-free and DNF-budget regressions, degenerate
-// edge cases, and the randomized differential suite pinning every
-// planner-chosen fast path against planner-forced enumeration.
+// edge cases, and the randomized differential suites pinning every
+// planner-chosen fast path — and tier 2's component pruning — against
+// planner-forced enumeration.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/exec_context.h"
 #include "cqa/planner.h"
 #include "query/normal_form.h"
 #include "query/parser.h"
@@ -553,6 +555,315 @@ TEST(PlannerDifferentialTest, PlannerMatchesForcedEnumeration) {
   }
   EXPECT_EQ(answer_sets_compared, 160);
   EXPECT_GE(verdicts_compared, 40);
+}
+
+// ------------------------- pruned tier 2 against unpruned enumeration --
+
+// Seed for the randomized suites below; CI's sanitizer leg sweeps it.
+uint64_t DifferentialSeed(uint64_t fallback) {
+  if (const char* env = std::getenv("PLANNER_TEST_SEED")) {
+    return std::strtoull(env, nullptr, 10);
+  }
+  return fallback;
+}
+
+// Two relations R0, R1 (K, V, W) with FD K -> V in key groups of 1-4
+// tuples (size-1 groups are isolated tuples), plus an empty relation E,
+// whose SUM, MIN and MAX are undefined in every repair.
+GeneratedInstance MakePruningInstance(Rng& rng) {
+  GeneratedInstance inst = MakeMultiRelationComponentsInstance(
+      rng, /*relations=*/2, /*groups_per_relation=*/3, /*min_size=*/1,
+      /*max_size=*/4);
+  auto schema = Schema::Create("E", {Attribute{"K", ValueType::kNumber},
+                                     Attribute{"V", ValueType::kNumber},
+                                     Attribute{"W", ValueType::kNumber}});
+  CHECK(schema.ok());
+  CHECK(inst.db->AddRelation(*schema).ok());
+  return inst;
+}
+
+// A small numeric constant: most instance values fall in [0, 4).
+Term SmallConstant(Rng& rng) {
+  return Term::ConstNumber(static_cast<int64_t>(rng.UniformInt(4)));
+}
+
+// Random formulas over R0/R1 with variables from {x, y, z}: atoms whose
+// terms mix variables, constants copied from a stored tuple and small
+// numbers; `x = c` conjuncts next to the atoms they pin; equalities under
+// `or` and `not`, which must pin nothing; and quantifiers that rebind a
+// pinned name.
+class PruningQueryGenerator {
+ public:
+  PruningQueryGenerator(Rng& rng, const Database& db) : rng_(rng), db_(db) {}
+
+  std::unique_ptr<Query> Formula(int depth) {
+    if (depth <= 0) return Leaf();
+    switch (rng_.UniformInt(6)) {
+      case 0:
+        return Leaf();
+      case 1: {  // a conjunction with a pinning equality among its conjuncts
+        std::string pinned = Variable();
+        std::vector<std::unique_ptr<Query>> parts;
+        parts.push_back(Formula(depth - 1));
+        parts.push_back(Equality(pinned));
+        if (rng_.Bernoulli(0.4)) {
+          // A conjunct that rebinds the pinned name.
+          parts.push_back(Quantified({pinned}, depth - 1));
+        } else if (rng_.Bernoulli(0.5)) {
+          parts.push_back(Formula(depth - 1));
+        }
+        rng_.Shuffle(parts);
+        return Query::And(std::move(parts));
+      }
+      case 2: {  // equalities under `or` next to atoms
+        std::vector<std::unique_ptr<Query>> parts;
+        parts.push_back(Formula(depth - 1));
+        parts.push_back(rng_.Bernoulli(0.6) ? Equality(Variable())
+                                            : Formula(depth - 1));
+        return Query::Or(std::move(parts));
+      }
+      case 3:  // equality or atom under `not`
+        return Query::Not(rng_.Bernoulli(0.4) ? Equality(Variable())
+                                              : Formula(depth - 1));
+      default: {  // a quantifier, possibly rebinding a name pinned outside
+        std::vector<std::string> bound = {Variable()};
+        if (rng_.Bernoulli(0.4)) {
+          std::string other = Variable();
+          if (other != bound[0]) bound.push_back(other);
+        }
+        return Quantified(std::move(bound), depth - 1);
+      }
+    }
+  }
+
+  std::string Variable() {
+    static const char* const kNames[] = {"x", "y", "z"};
+    return kNames[rng_.UniformInt(3)];
+  }
+
+ private:
+  std::unique_ptr<Query> Quantified(std::vector<std::string> bound,
+                                    int depth) {
+    auto body = Formula(depth);
+    return rng_.Bernoulli(0.6) ? Query::Exists(std::move(bound), std::move(body))
+                               : Query::ForAll(std::move(bound), std::move(body));
+  }
+
+  std::unique_ptr<Query> Leaf() {
+    if (rng_.Bernoulli(0.2)) return Equality(Variable());
+    int r = static_cast<int>(rng_.UniformInt(2));
+    const Relation& rel = db_.relations()[r];
+    const Tuple* sample =
+        rel.size() > 0 ? &rel.tuple(static_cast<int>(rng_.UniformInt(rel.size())))
+                       : nullptr;
+    std::vector<Term> terms;
+    for (int i = 0; i < 3; ++i) {
+      if (rng_.Bernoulli(0.55)) {
+        terms.push_back(Term::Var(Variable()));
+      } else if (sample != nullptr && rng_.Bernoulli(0.8)) {
+        terms.push_back(Term::Const(sample->value(i)));
+      } else {
+        terms.push_back(SmallConstant(rng_));
+      }
+    }
+    return Query::Atom(rel.schema().relation_name(), std::move(terms));
+  }
+
+  std::unique_ptr<Query> Equality(const std::string& variable) {
+    Term var = Term::Var(variable);
+    Term value = SmallConstant(rng_);
+    return rng_.Bernoulli(0.5)
+               ? Query::Cmp(ComparisonOp::kEq, std::move(var), std::move(value))
+               : Query::Cmp(ComparisonOp::kEq, std::move(value), std::move(var));
+  }
+
+  Rng& rng_;
+  const Database& db_;
+};
+
+Priority PruningPriority(Rng& rng, const ConflictGraph& graph, int kind) {
+  switch (kind) {
+    case 0:
+      return Priority::Empty(graph);
+    case 1:
+      return RandomRankingPriority(rng, graph, 1.0);  // total
+    case 2:
+      return RandomRankingPriority(rng, graph, 0.6);  // partial ranking
+    default:
+      return RandomDagPriority(rng, graph, 0.6);
+  }
+}
+
+void ExpectSameRange(const Result<AggregateRange>& pruned,
+                     const Result<AggregateRange>& reference,
+                     const std::string& what) {
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString() << " " << what;
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString() << " " << what;
+  EXPECT_EQ(pruned->has_value, reference->has_value) << what;
+  EXPECT_EQ(pruned->empty_possible, reference->empty_possible) << what;
+  if (pruned->has_value && reference->has_value) {
+    EXPECT_EQ(pruned->lo, reference->lo) << what;
+    EXPECT_EQ(pruned->hi, reference->hi) << what;
+  }
+}
+
+TEST(PlannerPruningDifferentialTest, PrunedTier2MatchesUnprunedEnumeration) {
+  Rng rng(DifferentialSeed(20261019));
+  CqaPlannerOptions forced;
+  forced.force_tier = CqaTier::kEnumeration;
+  int verdicts = 0;
+  int answer_sets = 0;
+  int pruned_runs = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    GeneratedInstance inst = MakePruningInstance(rng);
+    RepairProblem problem = MustProblem(inst);
+    Priority priority = PruningPriority(rng, problem.graph(), trial % 4);
+    RepairFamily family = kAllFamilies[(trial / 4) % 5];
+    PruningQueryGenerator generator(rng, *inst.db);
+    for (int q = 0; q < 8; ++q) {
+      std::unique_ptr<Query> query = generator.Formula(3);
+      const std::string what = "trial " + std::to_string(trial) + " " +
+                               std::string(RepairFamilyName(family)) + " " +
+                               query->ToString();
+      if (q % 2 == 0) {
+        // Close it: quantify the free variables.
+        std::set<std::string> free = query->FreeVariables();
+        if (!free.empty()) {
+          std::vector<std::string> bound(free.begin(), free.end());
+          query = rng.Bernoulli(0.5)
+                      ? Query::Exists(std::move(bound), std::move(query))
+                      : Query::ForAll(std::move(bound), std::move(query));
+        }
+        ExecutionContext context;
+        CqaPlannerOptions planned;
+        planned.parallel.context = &context;
+        CqaPlan plan;
+        auto fast = PlannedConsistentAnswer(problem, priority, family, *query,
+                                            planned, &plan);
+        auto slow = PlannedConsistentAnswer(problem, priority, family, *query,
+                                            forced);
+        ASSERT_TRUE(fast.ok()) << fast.status().ToString() << " " << what;
+        ASSERT_TRUE(slow.ok()) << slow.status().ToString() << " " << what;
+        EXPECT_EQ(*fast, *slow) << what;
+        if (plan.tier == CqaTier::kEnumeration &&
+            context.stats().Snapshot().components_pruned > 0) {
+          ++pruned_runs;
+        }
+        ++verdicts;
+        continue;
+      }
+      auto fast = PlannedConsistentAnswers(problem, priority, family, *query);
+      auto slow =
+          PlannedConsistentAnswers(problem, priority, family, *query, forced);
+      ASSERT_TRUE(fast.ok()) << fast.status().ToString() << " " << what;
+      ASSERT_TRUE(slow.ok()) << slow.status().ToString() << " " << what;
+      EXPECT_EQ(fast->variables, slow->variables) << what;
+      EXPECT_EQ(fast->rows, slow->rows) << what;
+      ++answer_sets;
+    }
+    // Aggregate ranges: per-component folds (and AVG's pruned product)
+    // against the whole product, including the empty relation E.
+    for (const char* relation : {"R0", "R1", "E"}) {
+      for (AggregateFunction fn :
+           {AggregateFunction::kCount, AggregateFunction::kSum,
+            AggregateFunction::kMin, AggregateFunction::kMax,
+            AggregateFunction::kAvg}) {
+        const char* attribute = trial % 2 == 0 ? "V" : "W";
+        ExpectSameRange(
+            PlannedAggregateRange(problem, priority, family, relation,
+                                  attribute, fn),
+            PlannedAggregateRange(problem, priority, family, relation,
+                                  attribute, fn, forced),
+            "trial " + std::to_string(trial) + " " +
+                std::string(AggregateFunctionName(fn)) + "(" + relation +
+                ") under " + std::string(RepairFamilyName(family)));
+      }
+    }
+  }
+  EXPECT_EQ(verdicts, 400);
+  EXPECT_EQ(answer_sets, 400);
+  EXPECT_GT(pruned_runs, 0);
+}
+
+TEST(PlannerPruningTest, ObservableComponentsFollowPinsAndScopes) {
+  // R(K, V) with FD K -> V: key groups 0..3 of two conflicting tuples
+  // each are components 0..3.
+  GeneratedInstance inst = MakeKeyGroupsInstance(4, 2);
+  RepairProblem problem = MustProblem(inst);
+  ASSERT_EQ(problem.decomposition().components().size(), 4u);
+  auto observable = [&](std::string_view text) {
+    return ObservableComponents(problem, *MustParse(text));
+  };
+  using V = std::vector<int>;
+  EXPECT_EQ(observable("R(1, 0)"), (V{1}));
+  EXPECT_EQ(observable("R(7, 0)"), (V{}));
+  EXPECT_EQ(observable("exists v . R(2, v)"), (V{2}));
+  EXPECT_EQ(observable("exists k, v . R(k, v) and k = 3"), (V{3}));
+  EXPECT_EQ(observable("exists k, v . (R(k, v) and (k = 1 and v = 0))"),
+            (V{1}));
+  // Pins under `or` and `not` narrow nothing.
+  EXPECT_EQ(observable("exists k, v . R(k, v) and (k = 1 or k = 2)"),
+            (V{0, 1, 2, 3}));
+  EXPECT_EQ(observable("exists k, v . R(k, v) and not k = 1"),
+            (V{0, 1, 2, 3}));
+  // A pin still narrows an atom under `not` or `or` below the `and`.
+  EXPECT_EQ(observable("exists k . k = 0 and not (exists v . R(k, v))"),
+            (V{0}));
+  // A quantifier rebinding the pinned name lifts the pin.
+  EXPECT_EQ(observable("exists k . k = 0 and (exists k, v . R(k, v))"),
+            (V{0, 1, 2, 3}));
+  // A query with no atom observes nothing.
+  EXPECT_EQ(observable("1 = 1"), (V{}));
+}
+
+TEST(PlannerPruningTest, StatsReportTheComponentSplit) {
+  // Four key groups under a ranking that orients only group 0's edge:
+  // a query on groups 0 and 1 collapses group 0, enumerates group 1 and
+  // prunes the other two.
+  GeneratedInstance inst = MakeKeyGroupsInstance(4, 2);
+  RepairProblem problem = MustProblem(inst);
+  auto priority = Priority::Create(problem.graph(), {{0, 1}});
+  ASSERT_TRUE(priority.ok()) << priority.status().ToString();
+  ExecutionContext context;
+  CqaPlannerOptions options;
+  options.parallel.context = &context;
+  auto verdict = PlannedConsistentAnswer(problem, *priority,
+                                         RepairFamily::kCommon,
+                                         *MustParse("R(0, 0) and R(1, 0)"),
+                                         options);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  ExecutionStatsSnapshot stats = context.stats().Snapshot();
+  EXPECT_EQ(stats.components_pruned, 2u);
+  EXPECT_EQ(stats.components_collapsed, 1u);
+  EXPECT_EQ(stats.components_enumerated, 1u);
+  EXPECT_EQ(stats.repairs_examined, 2u);
+  // Explain reports the same split without executing.
+  ComponentSplitCounts split =
+      ExplainComponentSplit(problem, *priority, RepairFamily::kCommon,
+                            *MustParse("R(0, 0) and R(1, 0)"));
+  EXPECT_EQ(split.ToString(),
+            "components: 2 pruned, 1 collapsed, 1 enumerated");
+  // L-Rep is not categorical: nothing collapses.
+  EXPECT_EQ(ExplainComponentSplit(problem, *priority, RepairFamily::kLocal,
+                                  *MustParse("R(0, 0) and R(1, 0)"))
+                .collapsed,
+            0u);
+  // Forced enumeration is the reference: it neither prunes nor collapses,
+  // so the differentials above compare the collapse against a search.
+  ExecutionContext forced_context;
+  CqaPlannerOptions forced;
+  forced.force_tier = CqaTier::kEnumeration;
+  forced.parallel.context = &forced_context;
+  auto reference = PlannedConsistentAnswer(problem, *priority,
+                                           RepairFamily::kCommon,
+                                           *MustParse("R(0, 0) and R(1, 0)"),
+                                           forced);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(*reference, *verdict);
+  ExecutionStatsSnapshot forced_stats = forced_context.stats().Snapshot();
+  EXPECT_EQ(forced_stats.components_pruned, 0u);
+  EXPECT_EQ(forced_stats.components_collapsed, 0u);
+  EXPECT_EQ(forced_stats.components_enumerated, 4u);
 }
 
 }  // namespace

@@ -55,6 +55,23 @@ TEST(PriorityTest, RejectsBothDirections) {
   EXPECT_FALSE(Priority::Create(g, {{0, 1}, {1, 0}}).ok());
 }
 
+TEST(PriorityTest, RejectsBothDirectionsInsideALargeArcList) {
+  // A 2000-vertex path oriented left to right, given in reverse order,
+  // with one edge in the middle also oriented right to left: the reverse
+  // pair sits far from its twin in the caller's order and deep inside
+  // the sorted list.
+  ConflictGraph g = Path(2000);
+  std::vector<std::pair<int, int>> arcs;
+  for (int i = 1998; i >= 0; --i) arcs.emplace_back(i, i + 1);
+  ASSERT_TRUE(Priority::Create(g, arcs).ok());
+  arcs.insert(arcs.begin() + 700, {1234, 1233});
+  auto p = Priority::Create(g, arcs);
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(p.status().ToString().find("both directions"), std::string::npos)
+      << p.status().ToString();
+}
+
 TEST(PriorityTest, RejectsCyclicRelation) {
   // Triangle oriented cyclically: 0>1, 1>2, 2>0.
   ConflictGraph g(3, {{0, 1}, {1, 2}, {0, 2}});

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,7 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/families.h"
 #include "cqa/planner.h"
+#include "graph/mis.h"
 #include "query/parser.h"
 #include "server/session.h"
 #include "server/snapshot.h"
@@ -69,6 +74,107 @@ TEST(SnapshotTest, IdsAreUniqueAndIncreasing) {
   std::shared_ptr<const Snapshot> a = MustSnapshot(inst);
   std::shared_ptr<const Snapshot> b = MustSnapshot(inst);
   EXPECT_LT(a->id(), b->id());
+}
+
+// ------------------------------------- tier-2 pruning regressions --
+
+// 1,423 tuples in 240 key-group components over R0..R3, under a ranking
+// that orients 90% of the conflicts: the product over every component
+// has millions of members under S-, G- and C-Rep.
+struct MultiGroupFixture {
+  GeneratedInstance inst;
+  std::shared_ptr<const Snapshot> snapshot;
+  Priority priority;
+};
+
+MultiGroupFixture MakeMultiGroupFixture() {
+  Rng rng(7);
+  MultiGroupFixture fx;
+  fx.inst = MakeMultiRelationComponentsInstance(rng, 4, 60, 4, 8);
+  fx.snapshot = MustSnapshot(fx.inst);
+  fx.priority = RandomRankingPriority(rng, fx.snapshot->graph(), 0.9);
+  return fx;
+}
+
+TEST(SessionPruningRegressionTest, OneGroupVerdictUnderMostlyTotalPriority) {
+  MultiGroupFixture fx = MakeMultiGroupFixture();
+  const ComponentDecomposition& decomposition = fx.snapshot->decomposition();
+  ASSERT_EQ(decomposition.components().size(), 240u);
+  Session session(fx.snapshot);
+  auto query = MustParse("R0(1, 0, 0)");
+  auto id = fx.snapshot->db().FindTuple(
+      "R0", Tuple::Of(Value::Number(1), Value::Number(0), Value::Number(0)));
+  ASSERT_TRUE(id.ok());
+  const int c = decomposition.ComponentOf(*id);
+  ASSERT_GE(c, 0);
+  const int local_id = decomposition.LocalIndex(*id);
+  for (RepairFamily family : {RepairFamily::kSemiGlobal, RepairFamily::kGlobal,
+                              RepairFamily::kCommon}) {
+    ExecutionContext context;
+    context.SetDeadlineAfter(std::chrono::seconds(1));
+    EvalOptions options;
+    options.context = &context;
+    CqaPlan executed;
+    auto verdict = session.Ask(*query, fx.priority, family, options, &executed);
+    ASSERT_TRUE(verdict.ok()) << RepairFamilyName(family) << ": "
+                              << verdict.status().ToString();
+    EXPECT_EQ(executed.tier, CqaTier::kEnumeration);
+    ExecutionStatsSnapshot stats = context.stats().Snapshot();
+    EXPECT_LE(stats.components_enumerated, 2u);
+    EXPECT_EQ(stats.components_pruned, 239u);
+    // Reference, by brute force: the family members among the repairs of
+    // the one component that holds the tuple.
+    const ConflictGraph& graph = decomposition.components()[c].graph;
+    const Priority local = ProjectPriority(decomposition, c, fx.priority);
+    size_t members = 0;
+    size_t holding = 0;
+    EnumerateMaximalIndependentSets(graph, [&](const DynamicBitset& repair) {
+      if (IsPreferredRepair(graph, local, family, repair)) {
+        ++members;
+        holding += repair.Test(local_id) ? 1 : 0;
+      }
+      return true;
+    });
+    ASSERT_GT(members, 0u);
+    const CqaVerdict expected = holding == members ? CqaVerdict::kCertainlyTrue
+                                : holding == 0     ? CqaVerdict::kCertainlyFalse
+                                                   : CqaVerdict::kUndetermined;
+    EXPECT_EQ(*verdict, expected) << RepairFamilyName(family);
+  }
+}
+
+TEST(SessionPruningRegressionTest, SumUnderRepFoldsPerGroup) {
+  MultiGroupFixture fx = MakeMultiGroupFixture();
+  Session session(fx.snapshot);
+  Priority empty = Priority::Empty(fx.snapshot->graph());
+  EvalOptions options;
+  options.deadline = std::chrono::seconds(2);
+  auto range = session.Aggregate("R2", "V", AggregateFunction::kSum, empty,
+                                 RepairFamily::kAll, options);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  // Under Rep a repair keeps one V-class of every key group: the range is
+  // the sum over groups of the smallest and largest class sums.
+  std::map<int64_t, std::map<int64_t, int64_t>> class_sums;  // K -> V -> sum
+  const Relation& r2 = *fx.snapshot->db().relation("R2").value();
+  for (const Tuple& t : r2.tuples()) {
+    class_sums[t.value(0).number()][t.value(1).number()] += t.value(1).number();
+  }
+  int64_t lo = 0;
+  int64_t hi = 0;
+  for (const auto& [key, sums] : class_sums) {
+    int64_t group_lo = sums.begin()->second;
+    int64_t group_hi = group_lo;
+    for (const auto& [v, sum] : sums) {
+      group_lo = std::min(group_lo, sum);
+      group_hi = std::max(group_hi, sum);
+    }
+    lo += group_lo;
+    hi += group_hi;
+  }
+  EXPECT_TRUE(range->has_value);
+  EXPECT_FALSE(range->empty_possible);
+  EXPECT_EQ(range->lo, static_cast<double>(lo));
+  EXPECT_EQ(range->hi, static_cast<double>(hi));
 }
 
 // ------------------------------------------------- cache hit/miss flow --
