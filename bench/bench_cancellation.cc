@@ -94,11 +94,12 @@ void BM_TimeToCancel_ShardedCqa(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     ExecutionContext context;
-    ParallelOptions options;
-    options.threads = threads;
-    options.context = &context;
+    CqaPlannerOptions options;
+    options.force_tier = CqaTier::kEnumeration;
+    options.parallel.threads = threads;
+    options.parallel.context = &context;
     std::thread worker([&] {
-      auto verdict = EnumeratedConsistentAnswer(
+      auto verdict = PlannedConsistentAnswer(
           *setup.problem, *setup.priority, RepairFamily::kAll, *query,
           options);
       // Cancelled runs surface the context's status; completing first

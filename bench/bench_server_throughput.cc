@@ -6,7 +6,7 @@
 // route to the enumeration tier):
 //   - free functions: the pre-server cost — every request re-plans and
 //     re-compiles;
-//   - session, cold cache: the facade with its caches cleared every
+//   - session, cold cache: the facade with its cache cleared every
 //     request — measures facade overhead without reuse;
 //   - session, warm cache: steady-state serving, where repeats hit the
 //     result cache (->Threads(1..8) gives QPS at N concurrent clients

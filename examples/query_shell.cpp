@@ -2,18 +2,18 @@
 // (server/session.h). Data definition (relation/insert/load/fd) stages a
 // working database; the first query builds an immutable Snapshot and a
 // Session over it, and every later query goes through the session's
-// PreparedQuery / plan / result caches — repeat a query to watch the
-// cache column flip from miss to hit.
+// result cache — repeat a query to watch the cache column flip from miss
+// to hit.
 //
 // Updates after that first snapshot take the incremental path: 'insert'
 // and 'delete' stage into a DatabaseDelta against the current snapshot,
 // and 'apply' runs Snapshot::Derive — the successor snapshot shares
 // untouched relations and clean components with its parent, and the new
-// session seeds its caches from the old one ('cache' shows what
+// session seeds its result cache from the old one ('cache' shows what
 // survived). Schema-level DDL (relation/fd/load) still marks the staging
 // area dirty and rebuilds from scratch on the next query (the server's
-// invalidation contract: caches never go stale because snapshots never
-// change).
+// invalidation contract: a cache never goes stale because snapshots
+// never change).
 //
 // Commands are listed by 'help' (generated from the command registry
 // below). Ctrl-C cancels the query in flight (cooperatively, via the
@@ -249,7 +249,7 @@ class Shell {
 
   // Applies the pending delta through Snapshot::Derive: the successor
   // shares untouched relations and clean components with the parent, and
-  // the new session seeds its caches from the old one.
+  // the new session seeds its result cache from the old one.
   Status Apply(const std::string&) {
     if (delta_ == nullptr || delta_->empty()) {
       return Status::InvalidArgument(
@@ -310,7 +310,7 @@ class Shell {
 
   // Builds a fresh immutable Snapshot (from a copy of the staging
   // database) and a Session over it whenever DDL dirtied the staging
-  // area. The old session — with its caches — is dropped; its snapshot
+  // area. The old session — with its cache — is dropped; its snapshot
   // would be stale.
   Status Refresh() {
     if (!dirty_ && session_ != nullptr) return Status::Ok();

@@ -12,6 +12,7 @@
 #include "cleaning/cleaning.h"
 #include "cqa/aggregation.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "graph/dot.h"
 #include "sql/sql.h"
 
@@ -85,15 +86,15 @@ int main() {
   auto sql = ParseSql(db,
                       "SELECT p.Name FROM Payroll p WHERE p.Salary >= 130");
   CHECK(sql.ok()) << sql.status().ToString();
-  auto certain = PreferredConsistentAnswers(*problem, newest,
-                                            RepairFamily::kGlobal, **sql);
+  auto certain = PlannedConsistentAnswers(*problem, newest,
+                                          RepairFamily::kGlobal, **sql);
   CHECK(certain.ok());
   std::printf("\ncertainly earning >= 130 (newest-wins, G-Rep):\n");
   for (const Tuple& row : certain->rows) {
     std::printf("  %s\n", row.ToString().c_str());
   }
-  auto baseline = PreferredConsistentAnswers(*problem, empty,
-                                             RepairFamily::kAll, **sql);
+  auto baseline = PlannedConsistentAnswers(*problem, empty,
+                                           RepairFamily::kAll, **sql);
   CHECK(baseline.ok());
   std::printf("under plain Rep the certain set has %zu row(s) — the\n"
               "newest-wins preference turns ada's raise into a certain "

@@ -1,10 +1,5 @@
-// EvalOptions: the one consolidated knob struct for every CQA-stack entry
-// point, and the primary options type of the server facade (src/server/).
-//
-// Historically each call threaded `ParallelOptions` (threads + context),
-// `CqaPlannerOptions` (tier forcing + DNF budget) and per-call limits as
-// separate positional parameters — 113 occurrences across 17 files by
-// PR 7. EvalOptions absorbs all of them:
+// EvalOptions: the options type of the server facade (src/server/) and
+// of PreferredRepairs, one struct for every knob a request can set:
 //
 //   threads     sharding width (ParallelOptions.threads)
 //   force_tier  planner tier override (CqaPlannerOptions.force_tier)
@@ -18,8 +13,8 @@
 // EvalContextScope turns an EvalOptions into the effective per-call
 // governance: it owns a fresh ExecutionContext exactly when the options
 // demand one (deadline armed or non-default limits, and no external
-// context), so ungoverned calls keep taking the historical zero-overhead
-// paths (context == nullptr all the way down).
+// context), so ungoverned calls keep taking the zero-overhead paths
+// (context == nullptr all the way down).
 //
 // This header lives in base/ — below core/ and cqa/ — so that both the
 // engine layers and the server facade can name the same struct. CqaTier
@@ -74,22 +69,13 @@ struct EvalOptions {
            (deadline.has_value() || !(limits == ExecutionLimits{}));
   }
 
-  // The legacy ParallelOptions view of these options, against `effective`
-  // (the external context or an EvalContextScope-owned one).
+  // The ParallelOptions view of these options, against `effective` (the
+  // external context or an EvalContextScope-owned one).
   ParallelOptions Parallel(ExecutionContext* effective) const {
     ParallelOptions parallel;
     parallel.threads = threads;
     parallel.context = effective;
     return parallel;
-  }
-
-  // Lifts a legacy ParallelOptions into the consolidated form (the
-  // deprecated wrappers delegate through this).
-  static EvalOptions FromParallel(const ParallelOptions& parallel) {
-    EvalOptions options;
-    options.threads = parallel.threads;
-    options.context = parallel.context;
-    return options;
   }
 };
 

@@ -617,6 +617,11 @@ Result<std::vector<DynamicBitset>> PreferredRepairs(
 Result<std::vector<DynamicBitset>> PreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     const ParallelOptions& options, size_t limit) try {
+  PREFREP_RETURN_IF_ERROR(CheckPriorityFits(graph, priority));
+  if (priority.vertex_count() != graph.vertex_count()) {
+    return PreferredRepairs(graph, Priority::Empty(graph), family, options,
+                            limit);
+  }
   ExecutionContext* context = options.context;
   if (context != nullptr) {
     limit = std::min(limit, context->limits().max_repair_list);

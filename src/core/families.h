@@ -159,7 +159,9 @@ bool EnumerateComponentFamily(
 // Materializes the family, failing with kResourceExhausted beyond `limit`
 // (clamped to options.context's max_repair_list when a context is
 // attached); an interrupted context fails with its kCancelled /
-// kDeadlineExceeded status instead.
+// kDeadlineExceeded status instead. A priority over no vertices stands
+// for the empty priority; one over another vertex count fails with
+// kInvalidArgument (priority.h CheckPriorityFits).
 Result<std::vector<DynamicBitset>> PreferredRepairs(
     const ConflictGraph& graph, const Priority& priority, RepairFamily family,
     size_t limit = kDefaultRepairListLimit);

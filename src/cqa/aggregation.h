@@ -60,16 +60,6 @@ Result<AggregateRange> AggregateConsistentRange(
     std::string_view attribute, AggregateFunction fn,
     const ParallelOptions& options = {});
 
-// Consolidated-options form: threads, deadline and limits come from one
-// EvalOptions (base/eval_options.h), enforced by a call-scoped context
-// when no external one is attached. Prefer this; the positional form
-// above survives as a compatibility wrapper.
-Result<AggregateRange> AggregateConsistentRange(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, std::string_view relation,
-    std::string_view attribute, AggregateFunction fn,
-    const EvalOptions& options);
-
 // The same range computed per conflict component. Preferred repairs are
 // products of per-component family members, so COUNT, SUM, MIN and MAX
 // over a product are folds of per-component ranges: each component that

@@ -1,4 +1,4 @@
-// Preferred consistent query answering (§2.3): the end-to-end API.
+// Preferred consistent query answering (§2.3): the engines.
 //
 // For a closed query Q and a family X of preferred repairs, `true` is the
 // X-consistent answer iff Q holds in every repair of X-Rep. We report a
@@ -9,8 +9,8 @@
 // short-circuiting; for the family Rep and *ground quantifier-free*
 // queries, GroundConsistentAnswer implements the polynomial
 // conflict-graph algorithm (Chomicki–Marcinkowski; first row of Fig. 5).
-// The Preferred* entry points route through the planner in
-// cqa/planner.h, which picks between these engines per call.
+// Callers ask through the planner (cqa/planner.h
+// PlannedConsistentAnswer[s]), which picks among these engines per call.
 
 #ifndef PREFREP_CQA_CQA_H_
 #define PREFREP_CQA_CQA_H_
@@ -18,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "base/eval_options.h"
 #include "base/status.h"
 #include "base/thread_pool.h"
 #include "core/families.h"
@@ -39,33 +38,18 @@ enum class CqaVerdict {
 
 std::string_view CqaVerdictName(CqaVerdict verdict);
 
-// Evaluates the closed query in every preferred repair of `family` under
-// `priority`. Routes through the CQA planner (cqa/planner.h): trivial
-// instances and polynomially answerable plans never touch the repair
-// product; everything else runs the enumeration engine below. The
-// verdict is identical whichever tier fires (pinned by the differential
-// suite in tests/planner_test.cc).
-Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
-                                             const Priority& priority,
-                                             RepairFamily family,
-                                             const Query& query,
-                                             ParallelOptions options = {});
-
-// Consolidated-options form (threads, force_tier, deadline, limits,
-// context in one EvalOptions — see base/eval_options.h). Prefer this and
-// its siblings below over the positional ParallelOptions forms, which
-// survive as compatibility wrappers.
-Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
-                                             const Priority& priority,
-                                             RepairFamily family,
-                                             const Query& query,
-                                             const EvalOptions& options);
-
-// The tier-2 engine, planner-free: always evaluates the closed query in
-// every preferred repair (enumeration stops as soon as both a satisfying
-// and a falsifying repair have been seen). The reference side of the
-// differential tests; the planner runs the prepared form below over the
-// observable components only.
+// The tier-2 engine, the form the planner runs: evaluates the closed
+// query in every preferred repair (enumeration stops as soon as both a
+// satisfying and a falsifying repair have been seen). `prepared` must
+// have been compiled against problem.db(); the engine evaluates it in
+// place (evaluation reuses its scratch), so a caller holding a shared
+// master passes a copy and one that compiled for this call moves it in.
+// `components`, when set, lists the components of problem.decomposition()
+// the query can observe (ObservableComponents); the product then ranges
+// over those only, and every other component is left out of the
+// evaluated sets. Null enumerates full repairs with every component
+// searched, without the P4 collapse: the reference that forced
+// enumeration runs.
 //
 // options.threads > 1 shards the work two ways: per-component family
 // lists are materialized by parallel workers (core/families.h), then the
@@ -74,53 +58,15 @@ Result<CqaVerdict> PreferredConsistentAnswer(const RepairProblem& problem,
 // verdicts ("saw a satisfying / falsifying repair") merge by a
 // commutative OR, so the verdict is identical to the serial result; a
 // shared flag stops every shard once both outcomes have been observed.
-Result<CqaVerdict> EnumeratedConsistentAnswer(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const Query& query,
-                                              ParallelOptions options = {});
-
-// Prepared-query seam, the form the planner runs: `prepared` must have
-// been compiled against problem.db() and stays untouched — the engine
-// evaluates a private copy, so one cached master can serve concurrent
-// calls. `components`, when set, lists the components of
-// problem.decomposition() the query can observe (ObservableComponents);
-// the product then ranges over those only, and every other component is
-// left out of the evaluated sets. Null enumerates full repairs with every
-// component searched, without the P4 collapse: the reference that forced
-// enumeration runs.
 Result<CqaVerdict> EnumeratedConsistentAnswer(
     const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, const PreparedQuery& prepared,
+    RepairFamily family, PreparedQuery prepared,
     const std::vector<int>* components, const ParallelOptions& options);
 
-// Convenience: true iff `true` is the X-consistent answer (Definition 3).
-Result<bool> IsConsistentlyTrue(const RepairProblem& problem,
-                                const Priority& priority, RepairFamily family,
-                                const Query& query,
-                                ParallelOptions options = {});
-Result<bool> IsConsistentlyTrue(const RepairProblem& problem,
-                                const Priority& priority, RepairFamily family,
-                                const Query& query, const EvalOptions& options);
-
-// Consistent answers to an *open* query: the assignments of its free
-// variables satisfying it in every preferred repair (the intersection of
-// the per-repair answer sets). Routes through the CQA planner like
-// PreferredConsistentAnswer.
-Result<OpenAnswer> PreferredConsistentAnswers(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const Query& query,
-                                              ParallelOptions options = {});
-
-// Consolidated-options form; see PreferredConsistentAnswer above.
-Result<OpenAnswer> PreferredConsistentAnswers(const RepairProblem& problem,
-                                              const Priority& priority,
-                                              RepairFamily family,
-                                              const Query& query,
-                                              const EvalOptions& options);
-
-// Tier-2 engine for open queries, planner-free.
+// Tier-2 engine for open queries: the assignments of the free variables
+// satisfying the query in every preferred repair (the intersection of
+// the per-repair answer sets). `prepared` and `components` as for
+// EnumeratedConsistentAnswer.
 //
 // options.threads > 1 shards exactly like EnumeratedConsistentAnswer;
 // each worker intersects the answer sets of its repair slice and the
@@ -128,17 +74,9 @@ Result<OpenAnswer> PreferredConsistentAnswers(const RepairProblem& problem,
 // intersection, so the answer set is identical to the serial result. A
 // shard whose partial intersection empties proves the global answer
 // empty and stops the others.
-Result<OpenAnswer> EnumeratedConsistentAnswers(const RepairProblem& problem,
-                                               const Priority& priority,
-                                               RepairFamily family,
-                                               const Query& query,
-                                               ParallelOptions options = {});
-
-// Prepared-query seam; see EnumeratedConsistentAnswer's prepared overload
-// for the sharing contract and `components`.
 Result<OpenAnswer> EnumeratedConsistentAnswers(
     const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, const PreparedQuery& prepared,
+    RepairFamily family, PreparedQuery prepared,
     const std::vector<int>* components, const ParallelOptions& options);
 
 // The components of problem.decomposition() a query can observe,

@@ -1,7 +1,6 @@
 #include "cqa/planner.h"
 
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -150,37 +149,18 @@ ComponentSplitCounts ExplainComponentSplit(const RepairProblem& problem,
 
 namespace {
 
-// Runs the tier-0 evaluation. PreparedQuery (not the reference
-// evaluator) on purpose: the enumeration tier evaluates through
-// PreparedQuery, and the two deliberately diverge on shadowed binder
-// names (see query/prepared.h) — tier choice must never change an
-// answer. `cached`, when set, is a caller-owned master compiled for the
-// same query: evaluation runs on a private copy (evaluation reuses
-// internal scratch, so the shared master is never touched).
-Result<CqaVerdict> SingleRepairVerdict(const RepairProblem& problem,
-                                       const Query& query,
-                                       const PreparedQuery* cached) {
-  if (cached != nullptr) {
-    PreparedQuery local(*cached);
-    PREFREP_ASSIGN_OR_RETURN(bool holds, local.EvalClosed(nullptr));
-    return holds ? CqaVerdict::kCertainlyTrue : CqaVerdict::kCertainlyFalse;
-  }
-  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PreparedQuery::Compile(problem.db(), query));
-  PREFREP_ASSIGN_OR_RETURN(bool holds, prepared.EvalClosed(nullptr));
-  return holds ? CqaVerdict::kCertainlyTrue : CqaVerdict::kCertainlyFalse;
-}
-
-Result<OpenAnswer> SingleRepairAnswers(const RepairProblem& problem,
-                                       const Query& query,
-                                       const PreparedQuery* cached) {
-  if (cached != nullptr) {
-    PreparedQuery local(*cached);
-    return local.EvalOpen(nullptr);
-  }
-  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
-                           PreparedQuery::Compile(problem.db(), query));
-  return prepared.EvalOpen(nullptr);
+// The compiled query tier 0 and tier 2 evaluate: a private copy of the
+// caller's master when one is given (evaluation reuses internal scratch,
+// so the master itself is never touched), a compilation of `query`
+// otherwise. Tier 0 evaluates through PreparedQuery (not the reference
+// evaluator) on purpose: the two deliberately diverge on shadowed binder
+// names (see query/prepared.h), and tier choice must never change an
+// answer.
+Result<PreparedQuery> CompiledFor(const RepairProblem& problem,
+                                  const Query& query,
+                                  const PreparedQuery* prepared) {
+  if (prepared != nullptr) return PreparedQuery(*prepared);
+  return PreparedQuery::Compile(problem.db(), query);
 }
 
 Status ForcedTierError(CqaTier tier, const std::string& why) {
@@ -234,8 +214,12 @@ Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
                                            const Query& query,
                                            const CqaPlannerOptions& options,
                                            CqaPlan* executed) {
-  // Entry-point contract shared with the enumeration engine: closed
-  // queries only, same diagnostics either way.
+  PREFREP_RETURN_IF_ERROR(CheckPriorityFits(problem.graph(), priority));
+  if (priority.vertex_count() != problem.graph().vertex_count()) {
+    return PlannedConsistentAnswer(problem, Priority::Empty(problem.graph()),
+                                   family, query, options, executed);
+  }
+  // Closed queries only, with ValidateQuery's diagnostics first.
   if (!query.IsClosed()) {
     PREFREP_RETURN_IF_ERROR(ValidateQuery(problem.db(), query));
     return Status::InvalidArgument(
@@ -246,9 +230,9 @@ Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
     return context->StatusWithStats();
   }
   const bool forced = options.force_tier.has_value();
-  // A caller-supplied plan (the Session plan cache) skips re-planning —
-  // including the query-exponential DNF pre-attempt. force_tier wins: a
-  // forced call re-plans so CheckForcedTier sees the forced tier.
+  // A caller-supplied plan skips re-planning — including the
+  // query-exponential DNF pre-attempt. force_tier wins: a forced call
+  // re-plans so CheckForcedTier sees the forced tier.
   CqaPlan plan = (!forced && options.precomputed_plan != nullptr)
                      ? *options.precomputed_plan
                      : ExplainPlan(problem, priority, family, query,
@@ -259,8 +243,12 @@ Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
   }
   if (executed != nullptr) *executed = plan;
   switch (plan.tier) {
-    case CqaTier::kSingleRepair:
-      return SingleRepairVerdict(problem, query, options.prepared);
+    case CqaTier::kSingleRepair: {
+      PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                               CompiledFor(problem, query, options.prepared));
+      PREFREP_ASSIGN_OR_RETURN(bool holds, prepared.EvalClosed(nullptr));
+      return holds ? CqaVerdict::kCertainlyTrue : CqaVerdict::kCertainlyFalse;
+    }
     case CqaTier::kGroundFastPath: {
       Result<CqaVerdict> verdict = GroundConsistentVerdict(
           problem, query, options.max_dnf_disjuncts, context);
@@ -279,24 +267,21 @@ Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
     case CqaTier::kEnumeration:
       break;
   }
+  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                           CompiledFor(problem, query, options.prepared));
   // A forced enumeration is the differential reference: it runs the
   // *requested* family over full repairs, so the planner's normalization
   // and pruning are themselves under test; planned enumeration runs the
   // (equivalent) effective family over the observable components.
   if (forced) {
     return EnumeratedConsistentAnswer(problem, priority, plan.requested_family,
-                                      query, options.parallel);
-  }
-  std::optional<PreparedQuery> compiled;
-  const PreparedQuery* prepared = options.prepared;
-  if (prepared == nullptr) {
-    PREFREP_ASSIGN_OR_RETURN(compiled,
-                             PreparedQuery::Compile(problem.db(), query));
-    prepared = &*compiled;
+                                      std::move(prepared), nullptr,
+                                      options.parallel);
   }
   const std::vector<int> observable = ObservableComponents(problem, query);
   return EnumeratedConsistentAnswer(problem, priority, plan.effective_family,
-                                    *prepared, &observable, options.parallel);
+                                    std::move(prepared), &observable,
+                                    options.parallel);
 }
 
 Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
@@ -305,6 +290,11 @@ Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
                                             const Query& query,
                                             const CqaPlannerOptions& options,
                                             CqaPlan* executed) {
+  PREFREP_RETURN_IF_ERROR(CheckPriorityFits(problem.graph(), priority));
+  if (priority.vertex_count() != problem.graph().vertex_count()) {
+    return PlannedConsistentAnswers(problem, Priority::Empty(problem.graph()),
+                                    family, query, options, executed);
+  }
   ExecutionContext* context = options.parallel.context;
   if (context != nullptr && context->interrupted()) {
     return context->StatusWithStats();
@@ -320,8 +310,11 @@ Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
   }
   if (executed != nullptr) *executed = plan;
   switch (plan.tier) {
-    case CqaTier::kSingleRepair:
-      return SingleRepairAnswers(problem, query, options.prepared);
+    case CqaTier::kSingleRepair: {
+      PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                               CompiledFor(problem, query, options.prepared));
+      return prepared.EvalOpen(nullptr);
+    }
     case CqaTier::kGroundFastPath: {
       Result<OpenAnswer> answers = GroundConsistentOpenAnswers(
           problem, query, options.max_dnf_disjuncts, context,
@@ -339,21 +332,18 @@ Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
     case CqaTier::kEnumeration:
       break;
   }
+  PREFREP_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                           CompiledFor(problem, query, options.prepared));
   if (forced) {
     return EnumeratedConsistentAnswers(problem, priority,
-                                       plan.requested_family, query,
+                                       plan.requested_family,
+                                       std::move(prepared), nullptr,
                                        options.parallel);
-  }
-  std::optional<PreparedQuery> compiled;
-  const PreparedQuery* prepared = options.prepared;
-  if (prepared == nullptr) {
-    PREFREP_ASSIGN_OR_RETURN(compiled,
-                             PreparedQuery::Compile(problem.db(), query));
-    prepared = &*compiled;
   }
   const std::vector<int> observable = ObservableComponents(problem, query);
   return EnumeratedConsistentAnswers(problem, priority, plan.effective_family,
-                                     *prepared, &observable, options.parallel);
+                                     std::move(prepared), &observable,
+                                     options.parallel);
 }
 
 Result<AggregateRange> PlannedAggregateRange(
@@ -361,6 +351,12 @@ Result<AggregateRange> PlannedAggregateRange(
     RepairFamily family, std::string_view relation,
     std::string_view attribute, AggregateFunction fn,
     const CqaPlannerOptions& options, CqaPlan* executed) {
+  PREFREP_RETURN_IF_ERROR(CheckPriorityFits(problem.graph(), priority));
+  if (priority.vertex_count() != problem.graph().vertex_count()) {
+    return PlannedAggregateRange(problem, Priority::Empty(problem.graph()),
+                                 family, relation, attribute, fn, options,
+                                 executed);
+  }
   ExecutionContext* context = options.parallel.context;
   if (context != nullptr && context->interrupted()) {
     return context->StatusWithStats();
@@ -408,57 +404,6 @@ Result<AggregateRange> PlannedAggregateRange(
   }
   return DecomposedAggregateRange(problem, priority, plan.effective_family,
                                   relation, attribute, fn, options.parallel);
-}
-
-namespace {
-
-// Lowers an EvalOptions onto the positional planner knobs. The returned
-// options borrow `effective` (the EvalContextScope's context, possibly
-// null), so they must not outlive the scope.
-CqaPlannerOptions LowerEvalOptions(const EvalOptions& options,
-                                   ExecutionContext* effective) {
-  CqaPlannerOptions planner_options;
-  planner_options.force_tier = options.force_tier;
-  planner_options.max_dnf_disjuncts = options.limits.max_dnf_disjuncts;
-  planner_options.parallel = options.Parallel(effective);
-  return planner_options;
-}
-
-}  // namespace
-
-Result<CqaVerdict> PlannedConsistentAnswer(const RepairProblem& problem,
-                                           const Priority& priority,
-                                           RepairFamily family,
-                                           const Query& query,
-                                           const EvalOptions& options,
-                                           CqaPlan* executed) {
-  EvalContextScope scope(options);
-  return PlannedConsistentAnswer(problem, priority, family, query,
-                                 LowerEvalOptions(options, scope.context()),
-                                 executed);
-}
-
-Result<OpenAnswer> PlannedConsistentAnswers(const RepairProblem& problem,
-                                            const Priority& priority,
-                                            RepairFamily family,
-                                            const Query& query,
-                                            const EvalOptions& options,
-                                            CqaPlan* executed) {
-  EvalContextScope scope(options);
-  return PlannedConsistentAnswers(problem, priority, family, query,
-                                  LowerEvalOptions(options, scope.context()),
-                                  executed);
-}
-
-Result<AggregateRange> PlannedAggregateRange(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, std::string_view relation,
-    std::string_view attribute, AggregateFunction fn,
-    const EvalOptions& options, CqaPlan* executed) {
-  EvalContextScope scope(options);
-  return PlannedAggregateRange(problem, priority, family, relation, attribute,
-                               fn, LowerEvalOptions(options, scope.context()),
-                               executed);
 }
 
 }  // namespace prefrep

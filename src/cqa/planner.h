@@ -18,21 +18,27 @@
 //     quantifier-free negation-free open queries to
 //     GroundConsistentOpenAnswers, and COUNT(*) aggregation to
 //     CountStarRange. Data-polynomial; never enumerates repairs.
-//   Tier 2, kEnumeration: the repair-product engine
-//     (EnumeratedConsistentAnswer[s]) over the query's observable
-//     components only (ObservableComponents, computed per execution from
-//     problem.decomposition()); components whose projected priority is
-//     total collapse to Algorithm 1's single output under S-, G- and
-//     C-Rep (P4). Aggregates fold per-component ranges
-//     (DecomposedAggregateRange). Always sound; exponential only in the
-//     observable components' families. A forced kEnumeration runs the
+//   Tier 2, kEnumeration: the repair-product engine (cqa.h
+//     EnumeratedConsistentAnswer[s], on the query compiled for the call)
+//     over the query's observable components only (ObservableComponents,
+//     computed per execution from problem.decomposition()); components
+//     whose projected priority is total collapse to Algorithm 1's single
+//     output under S-, G- and C-Rep (P4). Aggregates fold per-component
+//     ranges (DecomposedAggregateRange). Always sound; exponential only in
+//     the observable components' families. A forced kEnumeration runs the
 //     unpruned product over every component, each one searched without
 //     the collapse — the differential reference for both.
 //
+// Only tiers 0 and 2 and tier-1 open answers compile the query (and so
+// validate it against the schema); a tier-1 verdict validates it
+// without compiling.
+//
 // ExplainPlan exposes the decision so tests, benches, and the shell can
-// assert which tier fires; the Planned* entry points plan and execute,
-// reporting the tier that actually ran (a tier-1 plan whose DNF
-// conversion blows the budget falls back to tier 2 at runtime).
+// assert which tier fires; the Planned* entry points, one per request
+// kind, plan and execute, reporting the tier that actually ran (a tier-1
+// plan whose DNF conversion blows the budget falls back to tier 2 at
+// runtime). The Session (server/session.h) lowers its EvalOptions onto
+// CqaPlannerOptions and calls them on every result-cache miss.
 //
 // Equivalence of the tiers is pinned by the randomized differential
 // suites in tests/planner_test.cc: planner-chosen fast paths and the
@@ -72,8 +78,8 @@ std::string_view CqaTierName(CqaTier tier);
 // handle (a closed ground query has a polynomial verdict; an open query
 // needs quantifier-freeness and monotonicity instead).
 enum class CqaRequest {
-  kVerdict,      // PreferredConsistentAnswer (closed query)
-  kOpenAnswers,  // PreferredConsistentAnswers
+  kVerdict,      // PlannedConsistentAnswer (closed query)
+  kOpenAnswers,  // PlannedConsistentAnswers
 };
 
 struct CqaPlan {
@@ -107,12 +113,16 @@ struct CqaPlannerOptions {
   // Tier-2 sharding knob, forwarded to the enumeration engine.
   ParallelOptions parallel;
 
-  // --- resident-server seams (src/server/session.h) -----------------------
+  // --- stage seams -------------------------------------------------------
+  // For a caller that compiles and plans apart from executing, such as
+  // perfbench's traced mirror, which times the three stages separately.
+  // The Session passes neither.
+  //
   // A PreparedQuery previously compiled against problem.db() for the SAME
-  // query: tier 0 and tier 2 then skip PreparedQuery::Compile and evaluate
-  // private copies of it (the object itself is never mutated, so one
-  // cached master can serve concurrent calls). Owned by the caller; must
-  // outlive the call.
+  // query: tier 0, tier-1 open answers and tier 2 then skip
+  // PreparedQuery::Compile and evaluate private copies of it (the object
+  // itself is never mutated, so one master can serve concurrent calls).
+  // Owned by the caller; must outlive the call.
   const PreparedQuery* prepared = nullptr;
   // A CqaPlan previously returned by ExplainPlan for the SAME
   // (problem, priority, family, query, request, max_dnf_disjuncts) inputs:
@@ -152,15 +162,22 @@ ComponentSplitCounts ExplainComponentSplit(const RepairProblem& problem,
                                            RepairFamily family,
                                            const Query& query);
 
-// Plan + dispatch for PreferredConsistentAnswer. `executed` (optional)
-// receives the plan that actually ran, after any runtime fallback.
+// The consistent answer to a closed query: the verdict over every
+// preferred repair of `family` under `priority`, identical whichever tier
+// fires (pinned by the differential suite in tests/planner_test.cc).
+// `executed` (optional) receives the plan that actually ran, after any
+// runtime fallback. Here and in the two entries below, a priority over no
+// vertices stands for the empty priority and one over another vertex
+// count than the problem's fails with kInvalidArgument (priority.h
+// CheckPriorityFits).
 Result<CqaVerdict> PlannedConsistentAnswer(
     const RepairProblem& problem, const Priority& priority,
     RepairFamily family, const Query& query,
     const CqaPlannerOptions& options = {}, CqaPlan* executed = nullptr);
 
-// Plan + dispatch for PreferredConsistentAnswers (open queries; a closed
-// query degenerates to the zero-variable answer set).
+// The certain answers to an open query: the assignments of its free
+// variables that satisfy it in every preferred repair (a closed query
+// degenerates to the zero-variable answer set).
 Result<OpenAnswer> PlannedConsistentAnswers(
     const RepairProblem& problem, const Priority& priority,
     RepairFamily family, const Query& query,
@@ -176,36 +193,6 @@ Result<AggregateRange> PlannedAggregateRange(
     RepairFamily family, std::string_view relation,
     std::string_view attribute, AggregateFunction fn,
     const CqaPlannerOptions& options = {}, CqaPlan* executed = nullptr);
-
-// ---------------------------------------------------------------------------
-// Consolidated-options forms. One EvalOptions carries what used to be
-// spread across CqaPlannerOptions + ParallelOptions + ad-hoc budget
-// parameters: threads, force_tier, deadline, ExecutionLimits, context.
-// Deadline/limits are enforced by a call-scoped ExecutionContext
-// (EvalContextScope) when no external context is attached. Prefer these —
-// and the Session facade in src/server/session.h, which adds caching —
-// over the positional forms above.
-//
-// NOTE: passing a braced `{}` as the options argument is ambiguous between
-// the two overload sets; spell the type (CqaPlannerOptions() or
-// EvalOptions()) when also passing `executed`.
-// ---------------------------------------------------------------------------
-
-Result<CqaVerdict> PlannedConsistentAnswer(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, const Query& query, const EvalOptions& options,
-    CqaPlan* executed = nullptr);
-
-Result<OpenAnswer> PlannedConsistentAnswers(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, const Query& query, const EvalOptions& options,
-    CqaPlan* executed = nullptr);
-
-Result<AggregateRange> PlannedAggregateRange(
-    const RepairProblem& problem, const Priority& priority,
-    RepairFamily family, std::string_view relation,
-    std::string_view attribute, AggregateFunction fn,
-    const EvalOptions& options, CqaPlan* executed = nullptr);
 
 }  // namespace prefrep
 

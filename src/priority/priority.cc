@@ -134,6 +134,17 @@ std::string Priority::ToString() const {
   return out;
 }
 
+Status CheckPriorityFits(const ConflictGraph& graph,
+                         const Priority& priority) {
+  if (priority.vertex_count() == 0 ||
+      priority.vertex_count() == graph.vertex_count()) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "priority is over " + std::to_string(priority.vertex_count()) +
+      " tuples; the database has " + std::to_string(graph.vertex_count()));
+}
+
 DynamicBitset Winnow(const Priority& priority, const DynamicBitset& r) {
   DynamicBitset result(r.size());
   WinnowInto(priority, r, result);

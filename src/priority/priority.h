@@ -85,6 +85,13 @@ class Priority {
   std::vector<DynamicBitset> dominated_by_;  // outgoing domination
 };
 
+// The check every entry point makes on a caller's priority: OK when it
+// is over `graph`'s vertices or over none (a default-constructed
+// Priority, which the entry points read as Priority::Empty(graph));
+// kInvalidArgument for any other vertex count.
+[[nodiscard]] Status CheckPriorityFits(const ConflictGraph& graph,
+                                       const Priority& priority);
+
 // The winnow operator ω≻(r) = {t ∈ r | ¬∃ t' ∈ r. t' ≻ t} (Chomicki,
 // TODS'03), i.e. the members of `r` not dominated by any member of `r`.
 [[nodiscard]] DynamicBitset Winnow(const Priority& priority,

@@ -7,8 +7,9 @@ namespace prefrep {
 
 namespace {
 
-// Lowers an EvalOptions onto the planner's positional knobs, against the
-// already-resolved effective context.
+// The one lowering of a request's EvalOptions onto the planner's knobs,
+// against the already-resolved effective context (null for Explain, which
+// executes nothing).
 CqaPlannerOptions Lower(const EvalOptions& options,
                         ExecutionContext* effective) {
   CqaPlannerOptions planner_options;
@@ -44,22 +45,6 @@ std::string ResultKey(CqaRequest kind, RepairFamily family,
   return key;
 }
 
-// Plan-cache key: the planner reads the priority only through its
-// emptiness (EffectiveFamily), so plans are shared across all non-empty
-// priorities of one (query, family, kind, DNF budget).
-std::string PlanKey(CqaRequest kind, RepairFamily family, bool priority_empty,
-                    size_t max_dnf_disjuncts, const std::string& query_text) {
-  std::string key;
-  key.reserve(query_text.size() + 24);
-  key += KindTag(kind);
-  key += static_cast<char>('0' + static_cast<int>(family));
-  key += priority_empty ? 'e' : 'p';
-  key += std::to_string(max_dnf_disjuncts);
-  key += '|';
-  key += query_text;
-  return key;
-}
-
 // Intersects two sorted int vectors (true iff nonempty intersection).
 bool SortedIntersect(const std::vector<int>& a, const std::vector<int>& b) {
   size_t i = 0;
@@ -79,16 +64,11 @@ bool SortedIntersect(const std::vector<int>& a, const std::vector<int>& b) {
 }  // namespace
 
 std::string SessionCacheStats::ToString() const {
-  std::string out = "prepared " + std::to_string(prepared_hits) + "/" +
-                    std::to_string(prepared_misses) + ", plan " +
-                    std::to_string(plan_hits) + "/" +
-                    std::to_string(plan_misses) + ", result " +
-                    std::to_string(result_hits) + "/" +
+  std::string out = "result " + std::to_string(result_hits) + "/" +
                     std::to_string(result_misses) + " (hits/misses)";
-  if (seeded_plans > 0 || seeded_results > 0 || seed_dropped > 0) {
-    out += "; seeded plan " + std::to_string(seeded_plans) + ", result " +
-           std::to_string(seeded_results) + ", dropped " +
-           std::to_string(seed_dropped);
+  if (seeded_results > 0 || seed_dropped > 0) {
+    out += "; seeded result " + std::to_string(seeded_results) +
+           ", dropped " + std::to_string(seed_dropped);
   }
   return out;
 }
@@ -97,8 +77,6 @@ Session::Session(std::shared_ptr<const Snapshot> snapshot,
                  SessionOptions options)
     : snapshot_(std::move(snapshot)),
       options_(options),
-      prepared_cache_(options.max_cache_entries),
-      plan_cache_(std::make_shared<SharedPlanCache>(options.max_cache_entries)),
       result_cache_(options.max_cache_entries),
       paused_(options.start_paused) {
   const Database& db = snapshot_->db();
@@ -149,7 +127,7 @@ Session::~Session() {
   dispatcher_.join();
 }
 
-// ---- caches ---------------------------------------------------------------
+// ---- cache ----------------------------------------------------------------
 
 Session::ResultFootprint Session::FootprintFor(const Query& query,
                                                const Priority& priority) const {
@@ -193,23 +171,7 @@ void Session::SeedFromParent(const Session& parent) {
       stable[relation] = false;
     }
   }
-  // The planner reads exactly one instance property: conflict-freeness.
-  // Plans transfer iff it is unchanged.
-  const bool plans_transfer =
-      (parent.snapshot().graph().edge_count() == 0) ==
-      (snapshot_->graph().edge_count() == 0);
-
   std::scoped_lock lock(cache_mu_, parent.cache_mu_);
-  {
-    std::lock_guard<std::mutex> plans(parent.plan_cache_->mu);
-    const size_t plan_count = parent.plan_cache_->plans.size();
-    if (plans_transfer) {
-      plan_cache_ = parent.plan_cache_;
-      stats_.seeded_plans += plan_count;
-    } else {
-      stats_.seed_dropped += plan_count;
-    }
-  }
   parent.result_cache_.ForEachLruToMru([&](const std::string& key,
                                            const CachedResult& entry) {
     const ResultFootprint& footprint = entry.footprint;
@@ -225,45 +187,6 @@ void Session::SeedFromParent(const Session& parent) {
     result_cache_.Put(key, entry);
     ++stats_.seeded_results;
   });
-  // Prepared masters are intentionally not seeded: they are compiled
-  // against the parent database's tuple universe (mask sizing, quantifier
-  // domains, row->id maps) and recompile lazily on first use instead.
-}
-
-Result<std::shared_ptr<const PreparedQuery>> Session::PreparedFor(
-    const std::string& query_text, const Query& query) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    std::shared_ptr<const PreparedQuery>* master =
-        prepared_cache_.Get(query_text);
-    if (master != nullptr) {
-      ++stats_.prepared_hits;
-      return *master;
-    }
-    ++stats_.prepared_misses;
-  }
-  // Compile outside the lock: compilation cost is the whole point of the
-  // cache. A racing thread may compile the same query; last insert wins
-  // (the masters are equivalent either way).
-  PREFREP_ASSIGN_OR_RETURN(PreparedQuery compiled,
-                           PreparedQuery::Compile(snapshot_->db(), query));
-  auto master = std::make_shared<const PreparedQuery>(std::move(compiled));
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  prepared_cache_.Put(query_text, master);
-  return master;
-}
-
-std::optional<CqaPlan> Session::CachedPlan(const std::string& key) {
-  std::lock_guard<std::mutex> lock(plan_cache_->mu);
-  const CqaPlan* plan = plan_cache_->plans.Get(key);
-  ++(plan != nullptr ? stats_.plan_hits : stats_.plan_misses);
-  if (plan == nullptr) return std::nullopt;
-  return *plan;
-}
-
-void Session::CachePlan(const std::string& key, const CqaPlan& plan) {
-  std::lock_guard<std::mutex> lock(plan_cache_->mu);
-  plan_cache_->plans.Put(key, plan);
 }
 
 SessionCacheStats Session::cache_stats() const {
@@ -273,138 +196,70 @@ SessionCacheStats Session::cache_stats() const {
 
 void Session::ClearCache() {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  prepared_cache_.Clear();
-  // A fresh plan cache: one shared with related sessions stays theirs.
-  plan_cache_ = std::make_shared<SharedPlanCache>(options_.max_cache_entries);
   result_cache_.Clear();
-  // Counters restart with the emptied caches — a cleared session must not
+  // Counters restart with the emptied cache — a cleared session must not
   // report hit/miss/seed activity it can no longer back with entries.
   stats_ = SessionCacheStats{};
 }
 
 // ---- synchronous facade ---------------------------------------------------
 
-Result<CqaVerdict> Session::EvalVerdict(const Query& query,
-                                        const Priority& priority,
-                                        RepairFamily family,
-                                        const EvalOptions& options,
-                                        CqaPlan* executed, bool* cache_hit) {
+Status Session::Evaluate(CqaRequest kind, const Query& query,
+                         const Priority& priority, RepairFamily family,
+                         const EvalOptions& options, CachedResult* out,
+                         bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
+  PREFREP_RETURN_IF_ERROR(CheckPriorityFits(snapshot_->graph(), priority));
   // A forced tier exists to really execute that tier; serving it from the
   // cache (or caching its result under the unforced key) would defeat it.
-  const bool cacheable =
-      options_.enable_cache && !options.force_tier.has_value();
-  if (!cacheable) {
-    EvalContextScope scope(options);
-    return PlannedConsistentAnswer(problem(), priority, family, query,
-                                   Lower(options, scope.context()), executed);
-  }
-  const std::string query_text = query.ToString();
-  const std::string result_key =
-      ResultKey(CqaRequest::kVerdict, family, priority, query_text);
-  const std::string plan_key =
-      PlanKey(CqaRequest::kVerdict, family, PriorityIsEmpty(priority),
-              options.limits.max_dnf_disjuncts, query_text);
-  std::optional<CqaPlan> plan;
-  {
+  const bool cacheable = !options.force_tier.has_value();
+  std::string key;
+  if (cacheable) {
+    key = ResultKey(kind, family, priority, query.ToString());
     std::lock_guard<std::mutex> lock(cache_mu_);
-    CachedResult* entry = result_cache_.Get(result_key);
-    if (entry != nullptr && entry->verdict.has_value()) {
+    // The key's kind tag guarantees the entry holds the matching member.
+    const CachedResult* entry = result_cache_.Get(key);
+    if (entry != nullptr) {
       ++stats_.result_hits;
-      if (executed != nullptr) *executed = entry->plan;
+      out->verdict = entry->verdict;
+      out->answers = entry->answers;
+      out->plan = entry->plan;
       if (cache_hit != nullptr) *cache_hit = true;
-      return *entry->verdict;
+      return Status::Ok();
     }
     ++stats_.result_misses;
-    plan = CachedPlan(plan_key);
   }
-  PREFREP_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
-                           PreparedFor(query_text, query));
   EvalContextScope scope(options);
-  CqaPlannerOptions planner_options = Lower(options, scope.context());
-  planner_options.prepared = prepared.get();
-  if (plan.has_value()) planner_options.precomputed_plan = &*plan;
-  CqaPlan ran;
-  Result<CqaVerdict> verdict = PlannedConsistentAnswer(
-      problem(), priority, family, query, planner_options, &ran);
-  if (executed != nullptr) *executed = ran;
-  if (verdict.ok()) {
-    CachedResult entry;
-    entry.verdict = *verdict;
-    entry.plan = ran;
-    entry.footprint = FootprintFor(query, priority);
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (!plan.has_value()) {
-      // Cache the plan that actually RAN (post any runtime fallback):
-      // replaying it skips a doomed tier-1 attempt next time.
-      CachePlan(plan_key, ran);
-    }
-    result_cache_.Put(result_key, std::move(entry));
+  const CqaPlannerOptions planner_options = Lower(options, scope.context());
+  Status status = Status::Ok();
+  if (kind == CqaRequest::kVerdict) {
+    Result<CqaVerdict> verdict = PlannedConsistentAnswer(
+        problem(), priority, family, query, planner_options, &out->plan);
+    if (verdict.ok()) out->verdict = *verdict;
+    status = verdict.status();
+  } else {
+    Result<OpenAnswer> answers = PlannedConsistentAnswers(
+        problem(), priority, family, query, planner_options, &out->plan);
+    if (answers.ok()) out->answers = *std::move(answers);
+    status = answers.status();
   }
-  return verdict;
-}
-
-Result<OpenAnswer> Session::EvalAnswers(const Query& query,
-                                        const Priority& priority,
-                                        RepairFamily family,
-                                        const EvalOptions& options,
-                                        CqaPlan* executed, bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  const bool cacheable =
-      options_.enable_cache && !options.force_tier.has_value();
-  if (!cacheable) {
-    EvalContextScope scope(options);
-    return PlannedConsistentAnswers(problem(), priority, family, query,
-                                    Lower(options, scope.context()), executed);
-  }
-  const std::string query_text = query.ToString();
-  const std::string result_key =
-      ResultKey(CqaRequest::kOpenAnswers, family, priority, query_text);
-  const std::string plan_key =
-      PlanKey(CqaRequest::kOpenAnswers, family, PriorityIsEmpty(priority),
-              options.limits.max_dnf_disjuncts, query_text);
-  std::optional<CqaPlan> plan;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    CachedResult* entry = result_cache_.Get(result_key);
-    if (entry != nullptr && entry->answers.has_value()) {
-      ++stats_.result_hits;
-      if (executed != nullptr) *executed = entry->plan;
-      if (cache_hit != nullptr) *cache_hit = true;
-      return *entry->answers;
-    }
-    ++stats_.result_misses;
-    plan = CachedPlan(plan_key);
-  }
-  PREFREP_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
-                           PreparedFor(query_text, query));
-  EvalContextScope scope(options);
-  CqaPlannerOptions planner_options = Lower(options, scope.context());
-  planner_options.prepared = prepared.get();
-  if (plan.has_value()) planner_options.precomputed_plan = &*plan;
-  CqaPlan ran;
-  Result<OpenAnswer> answers = PlannedConsistentAnswers(
-      problem(), priority, family, query, planner_options, &ran);
-  if (executed != nullptr) *executed = ran;
-  if (answers.ok()) {
-    CachedResult entry;
-    entry.answers = *answers;
-    entry.plan = ran;
-    entry.footprint = FootprintFor(query, priority);
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (!plan.has_value()) {
-      CachePlan(plan_key, ran);
-    }
-    result_cache_.Put(result_key, std::move(entry));
-  }
-  return answers;
+  if (!status.ok() || !cacheable) return status;
+  out->footprint = FootprintFor(query, priority);
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  result_cache_.Put(key, *out);
+  return status;
 }
 
 Result<CqaVerdict> Session::Ask(const Query& query, const Priority& priority,
                                 RepairFamily family,
                                 const EvalOptions& options, CqaPlan* executed,
                                 bool* cache_hit) {
-  return EvalVerdict(query, priority, family, options, executed, cache_hit);
+  CachedResult result;
+  Status status = Evaluate(CqaRequest::kVerdict, query, priority, family,
+                           options, &result, cache_hit);
+  if (executed != nullptr) *executed = std::move(result.plan);
+  if (!status.ok()) return status;
+  return *result.verdict;
 }
 
 Result<OpenAnswer> Session::Answers(const Query& query,
@@ -412,7 +267,12 @@ Result<OpenAnswer> Session::Answers(const Query& query,
                                     RepairFamily family,
                                     const EvalOptions& options,
                                     CqaPlan* executed, bool* cache_hit) {
-  return EvalAnswers(query, priority, family, options, executed, cache_hit);
+  CachedResult result;
+  Status status = Evaluate(CqaRequest::kOpenAnswers, query, priority, family,
+                           options, &result, cache_hit);
+  if (executed != nullptr) *executed = std::move(result.plan);
+  if (!status.ok()) return status;
+  return *std::move(result.answers);
 }
 
 Result<AggregateRange> Session::Aggregate(std::string_view relation,
@@ -437,11 +297,8 @@ Result<std::vector<DynamicBitset>> Session::Repairs(
 CqaPlan Session::Explain(const Query& query, const Priority& priority,
                          RepairFamily family, CqaRequest kind,
                          const EvalOptions& options) const {
-  CqaPlannerOptions planner_options;
-  planner_options.force_tier = options.force_tier;
-  planner_options.max_dnf_disjuncts = options.limits.max_dnf_disjuncts;
   return ExplainPlan(problem(), priority, family, query, kind,
-                     planner_options);
+                     Lower(options, nullptr));
 }
 
 // ---- asynchronous facade --------------------------------------------------
@@ -459,12 +316,6 @@ SessionResponse Session::CancelledResponse(const PendingRequest& pending) {
 Result<uint64_t> Session::Submit(SessionRequest request) {
   if (request.query == nullptr) {
     return Status::InvalidArgument("SessionRequest.query is null");
-  }
-  // A default-constructed priority stands for "no preferences": normalize
-  // it to the snapshot's empty priority so family engines can index it.
-  if (request.priority.vertex_count() == 0 &&
-      snapshot_->graph().vertex_count() > 0) {
-    request.priority = Priority::Empty(snapshot_->graph());
   }
   auto pending = std::make_shared<PendingRequest>();
   pending->request = std::move(request);
@@ -577,18 +428,15 @@ SessionResponse Session::Execute(PendingRequest& pending) {
     }
     options.context = pending.context.get();
   }
-  const Query& query = *pending.request.query;
-  CqaPlan ran;
-  bool hit = false;
-  if (pending.request.kind == CqaRequest::kVerdict) {
-    response.verdict = EvalVerdict(query, pending.request.priority,
-                                   pending.request.family, options, &ran, &hit);
+  const SessionRequest& request = pending.request;
+  if (request.kind == CqaRequest::kVerdict) {
+    response.verdict = Ask(*request.query, request.priority, request.family,
+                           options, &response.executed, &response.cache_hit);
   } else {
-    response.answers = EvalAnswers(query, pending.request.priority,
-                                   pending.request.family, options, &ran, &hit);
+    response.answers =
+        Answers(*request.query, request.priority, request.family, options,
+                &response.executed, &response.cache_hit);
   }
-  response.executed = ran;
-  response.cache_hit = hit;
   return response;
 }
 

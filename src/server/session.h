@@ -1,47 +1,43 @@
 // Session: the primary query-facing facade of the resident CQA server.
 //
-// A Session binds one immutable Snapshot (snapshot.h) to the caches and
-// the request queue that make repeated querying cheap:
+// A Session binds one immutable Snapshot (snapshot.h) to a result cache
+// and a request queue. The result cache memoizes verdicts and
+// certain-answer sets keyed by the EXACT inputs that determine them —
+// request kind, family, query text and the priority's full arc list
+// (never a hash: a collision would silently return a wrong answer). Only
+// OK results are cached, and threads/deadline/limits are excluded from
+// the key: answers are bit-for-bit independent of them, and failures are
+// never cached. Hit/miss counters are exposed via cache_stats();
+// `force_tier` bypasses the cache (a forced call exists to really execute
+// a tier — the differential tests depend on it).
 //
-//   - PreparedQuery cache: one compilation per distinct query text; every
-//     evaluation (any family, any priority, any tier) reuses the cached
-//     master through a private copy — copying a compiled query is far
-//     cheaper than re-validating, type-inferring and index-hashing it.
-//   - Plan cache: one planner decision per (query, family, request kind,
-//     priority emptiness, DNF budget); repeat calls skip re-planning,
-//     including the query-exponential DNF pre-attempt.
-//   - Result cache: memoized verdicts / certain-answer sets keyed by the
-//     EXACT inputs that determine them — request kind, family, query text
-//     and the priority's full arc list (never a hash: a collision would
-//     silently return a wrong answer). Only OK results are cached, and
-//     threads/deadline/limits are excluded from the key: answers are
-//     bit-for-bit independent of them, and failures are never cached.
+// It is the session's only cache. Requests vary exactly the inputs that
+// fix an answer — query, family and priority over one version — so a
+// miss goes straight to the planner (cqa/planner.h): no compiled query or
+// plan is kept, and only the tier that runs compiles the query, if it
+// needs one (a tier-1 verdict compiles nothing).
 //
-// Hit/miss counters for all three caches are exposed via cache_stats().
-// `force_tier` bypasses the plan and result caches (a forced call exists
-// to really execute a tier — the differential tests depend on it).
+// Each request kind has one entry, taking one EvalOptions, which the
+// session lowers onto CqaPlannerOptions in one place. A priority over
+// another vertex count than the snapshot's graph fails with
+// kInvalidArgument before the cache is consulted; a priority over no
+// vertices (default-constructed) stands for the empty priority.
 //
 // The cache invalidation contract is structural: a Session's snapshot is
-// immutable, so its caches can never go stale. New data means a new
+// immutable, so its cache can never go stale. New data means a new
 // Snapshot and a new Session; the old session stays correct for the old
 // version until dropped.
 //
 // For a snapshot built by Snapshot::Derive, the derived-session
-// constructor seeds the plan and result caches from the parent session
-// instead of starting cold. Each result entry carries an invalidation
-// footprint — the referenced relations and the largest tuple id in its
-// priority-arc key — and survives iff the delta left all of it
-// untouched: the active domain is preserved, no footprint relation was
-// touched or had ids shift (all its ids below first_shifted_id), and no
-// component overlapping a footprint relation is in the dirty set;
-// everything else is dropped. The plan cache is shared with the parent
-// whenever conflict-free-ness didn't change (the only instance property
-// the planner reads), so seeding costs nothing per plan; ClearCache gives
-// a session a fresh one. Prepared masters are NOT seeded: they are
-// compiled against the parent's tuple universe (mask sizes, domains) and
-// recompile lazily per query instead. All caches evict
-// least-recently-used at max_cache_entries (lru_cache.h); seeding
-// preserves the parent's recency order.
+// constructor seeds the result cache from the parent session instead of
+// starting cold. Each result entry carries an invalidation footprint —
+// the referenced relations and the largest tuple id in its priority-arc
+// key — and survives iff the delta left all of it untouched: the active
+// domain is preserved, no footprint relation was touched or had ids shift
+// (all its ids below first_shifted_id), and no component overlapping a
+// footprint relation is in the dirty set; everything else is dropped. The
+// cache evicts least-recently-used at max_cache_entries (lru_cache.h);
+// seeding preserves the parent's recency order.
 //
 // Submit/Wait run requests on the session's dispatcher thread with
 // admission control: at most max_pending_requests are queued or running,
@@ -49,10 +45,10 @@
 // request gets its own ExecutionContext, so Cancel works whether the
 // request is still queued (fails it with kCancelled immediately) or
 // already running (cooperative interrupt through the engines' poll
-// points). Sync and async calls share the caches.
+// points). Sync and async calls share the cache and one miss path.
 //
 // Thread safety: all public methods are safe to call concurrently; the
-// caches are internally locked, and evaluation never holds a lock.
+// cache is internally locked, and evaluation never holds a lock.
 
 #ifndef PREFREP_SERVER_SESSION_H_
 #define PREFREP_SERVER_SESSION_H_
@@ -78,27 +74,27 @@
 #include "priority/priority.h"
 #include "query/ast.h"
 #include "query/evaluator.h"
-#include "query/prepared.h"
 #include "server/lru_cache.h"
 #include "server/snapshot.h"
 
 namespace prefrep {
 
 struct SessionOptions {
-  // Per-cache entry cap (prepared / plan / result each); insertion past
-  // the cap evicts the least-recently-used entry, bounding memory while
-  // keeping the hot working set resident.
+  // Result-cache entry cap; insertion past the cap evicts the
+  // least-recently-used entry, bounding memory while keeping the hot
+  // working set resident.
   size_t max_cache_entries = 1024;
   // Admission cap: queued + running async requests. Submits beyond it
   // fail with kResourceExhausted instead of queueing unboundedly.
   size_t max_pending_requests = 64;
-  bool enable_cache = true;
   // Start the dispatcher paused: admitted requests queue but none runs
   // until ResumeDispatch(). Deterministic admission/cancellation tests.
   bool start_paused = false;
 };
 
 struct SessionCacheStats {
+  // Always 0: the session keeps no compiled query or plan. They stay for
+  // readers that still sum them (perfbench).
   uint64_t prepared_hits = 0;
   uint64_t prepared_misses = 0;
   uint64_t plan_hits = 0;
@@ -108,12 +104,11 @@ struct SessionCacheStats {
   // Derived-session seeding: entries inherited from the parent session vs
   // dropped because the delta invalidated their footprint. Zero for
   // sessions built without a parent.
-  uint64_t seeded_plans = 0;
   uint64_t seeded_results = 0;
   uint64_t seed_dropped = 0;
 
-  // "prepared 3/1, plan 2/2, result 5/3 (hits/misses)"; a derived session
-  // appends "; seeded plan 2, result 4, dropped 1".
+  // "result 5/3 (hits/misses)"; a derived session appends
+  // "; seeded result 4, dropped 1".
   std::string ToString() const;
 };
 
@@ -147,8 +142,8 @@ class Session {
                    SessionOptions options = {});
 
   // Derived-session constructor: `snapshot` must come from
-  // Snapshot::Derive with `parent.snapshot()` as its base. Seeds the plan
-  // and result caches from `parent` per the contract in the file comment;
+  // Snapshot::Derive with `parent.snapshot()` as its base. Seeds the
+  // result cache from `parent` per the contract in the file comment;
   // `parent` is only read during construction and not retained.
   Session(std::shared_ptr<const Snapshot> snapshot, const Session& parent,
           SessionOptions options = {});
@@ -177,8 +172,8 @@ class Session {
                              CqaPlan* executed = nullptr,
                              bool* cache_hit = nullptr);
 
-  // Aggregate range (uncached: no PreparedQuery to reuse and ranges are
-  // cheap relative to their enumeration anyway).
+  // Aggregate range (uncached: ranges are cheap relative to their
+  // enumeration anyway).
   Result<AggregateRange> Aggregate(std::string_view relation,
                                    std::string_view attribute,
                                    AggregateFunction fn,
@@ -224,7 +219,7 @@ class Session {
 
   // Counters since session construction or the last ClearCache().
   SessionCacheStats cache_stats() const;
-  // Empties all three caches and zeroes cache_stats() — after a clear the
+  // Empties the cache and zeroes cache_stats() — after a clear the
   // session reports no phantom hit/miss/seed/eviction activity.
   void ClearCache();
 
@@ -258,32 +253,23 @@ class Session {
 
   const RepairProblem& problem() const { return snapshot_->problem(); }
 
-  // Returns the cached PreparedQuery master for `query_text`, compiling
-  // and inserting on miss. Updates prepared hit/miss counters.
-  Result<std::shared_ptr<const PreparedQuery>> PreparedFor(
-      const std::string& query_text, const Query& query);
-
   // The invalidation footprint of a (query, priority) result in this
   // snapshot's terms.
   ResultFootprint FootprintFor(const Query& query,
                                const Priority& priority) const;
-  // Shares the parent's plan cache and copies surviving result entries
-  // from `parent` (see the file comment for the conditions). Called by the
-  // derived-session constructor before any request runs.
+  // Copies surviving result entries from `parent` (see the file comment
+  // for the conditions). Called by the derived-session constructor before
+  // any request runs.
   void SeedFromParent(const Session& parent);
-  // The plan cache's entry for `key`, counted as a plan hit or miss; and
-  // its insertion. Both run under cache_mu_.
-  std::optional<CqaPlan> CachedPlan(const std::string& key);
-  void CachePlan(const std::string& key, const CqaPlan& plan);
 
-  Result<CqaVerdict> EvalVerdict(const Query& query, const Priority& priority,
-                                 RepairFamily family,
-                                 const EvalOptions& options, CqaPlan* executed,
-                                 bool* cache_hit);
-  Result<OpenAnswer> EvalAnswers(const Query& query, const Priority& priority,
-                                 RepairFamily family,
-                                 const EvalOptions& options, CqaPlan* executed,
-                                 bool* cache_hit);
+  // The one path of Ask, Answers and async requests: the priority check,
+  // the result-cache lookup, and on a miss the planner's entry for
+  // `kind`, whose OK result is cached. Fills the member of `out` that
+  // matches `kind` and out->plan (also on failure, once a plan ran).
+  Status Evaluate(CqaRequest kind, const Query& query,
+                  const Priority& priority, RepairFamily family,
+                  const EvalOptions& options, CachedResult* out,
+                  bool* cache_hit);
 
   void DispatchLoop();
   SessionResponse Execute(PendingRequest& pending);
@@ -300,21 +286,6 @@ class Session {
 
   mutable std::mutex cache_mu_;
   SessionCacheStats stats_;
-  LruCache<std::shared_ptr<const PreparedQuery>> prepared_cache_;
-  // Plans depend only on the request and on whether the snapshot is
-  // conflict-free, so a derived session whose snapshot agrees with its
-  // parent's on that shares the parent's plan cache instead of copying
-  // it (copying a full cache of 1024 plans made seeding a session about
-  // six times slower). Sessions that share the cache share its
-  // max_cache_entries as well, so one session's misses can evict plans
-  // another made. The pointer is guarded by cache_mu_, the cache by its
-  // own mutex (always taken after cache_mu_).
-  struct SharedPlanCache {
-    explicit SharedPlanCache(size_t capacity) : plans(capacity) {}
-    std::mutex mu;
-    LruCache<CqaPlan> plans;
-  };
-  std::shared_ptr<SharedPlanCache> plan_cache_;
   LruCache<CachedResult> result_cache_;
 
   mutable std::mutex queue_mu_;

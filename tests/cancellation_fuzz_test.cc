@@ -24,6 +24,7 @@
 #include "base/thread_pool.h"
 #include "core/families.h"
 #include "cqa/cqa.h"
+#include "cqa/planner.h"
 #include "query/parser.h"
 #include "relational/delta.h"
 #include "repair/repair.h"
@@ -51,6 +52,12 @@ ParallelOptions WithContext(int threads, ExecutionContext* context) {
   ParallelOptions options;
   options.threads = threads;
   options.context = context;
+  return options;
+}
+
+CqaPlannerOptions PlannedWith(int threads, ExecutionContext* context) {
+  CqaPlannerOptions options;
+  options.parallel = WithContext(threads, context);
   return options;
 }
 
@@ -134,17 +141,17 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
   for (RepairFamily family : kAllFamilies) {
     for (int threads : kThreadCounts) {
       auto ref_verdict =
-          PreferredConsistentAnswer(problem, priority, family, *closed,
-                                    ParallelOptions{threads});
+          PlannedConsistentAnswer(problem, priority, family, *closed,
+                                  PlannedWith(threads, nullptr));
       ASSERT_TRUE(ref_verdict.ok()) << ref_verdict.status().ToString();
-      auto ref_rows = PreferredConsistentAnswers(problem, priority, family,
-                                                 *open,
-                                                 ParallelOptions{threads});
+      auto ref_rows = PlannedConsistentAnswers(problem, priority, family,
+                                               *open,
+                                               PlannedWith(threads, nullptr));
       ASSERT_TRUE(ref_rows.ok()) << ref_rows.status().ToString();
 
       ExecutionContext clean;
-      auto governed = PreferredConsistentAnswer(
-          problem, priority, family, *closed, WithContext(threads, &clean));
+      auto governed = PlannedConsistentAnswer(
+          problem, priority, family, *closed, PlannedWith(threads, &clean));
       ASSERT_TRUE(governed.ok()) << governed.status().ToString();
       EXPECT_EQ(*governed, *ref_verdict);
       const uint64_t verdict_polls = clean.poll_count();
@@ -152,8 +159,8 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
       for (int trial = 0; trial < 8; ++trial) {
         ExecutionContext context;
         context.CancelAfterPolls(rng.UniformRange(1, verdict_polls + 5));
-        auto cut = PreferredConsistentAnswer(
-            problem, priority, family, *closed, WithContext(threads, &context));
+        auto cut = PlannedConsistentAnswer(
+            problem, priority, family, *closed, PlannedWith(threads, &context));
         if (cut.ok()) {
           EXPECT_EQ(*cut, *ref_verdict) << RepairFamilyName(family);
         } else {
@@ -163,9 +170,9 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
 
         ExecutionContext rows_context;
         rows_context.CancelAfterPolls(rng.UniformRange(1, verdict_polls + 5));
-        auto cut_rows = PreferredConsistentAnswers(
+        auto cut_rows = PlannedConsistentAnswers(
             problem, priority, family, *open,
-            WithContext(threads, &rows_context));
+            PlannedWith(threads, &rows_context));
         if (cut_rows.ok()) {
           EXPECT_EQ(cut_rows->rows, ref_rows->rows)
               << RepairFamilyName(family);
@@ -176,9 +183,9 @@ TEST(CancellationFuzzTest, CqaCancelsCleanlyAtArbitraryPolls) {
 
         // Clean rerun after each interrupted attempt.
         ExecutionContext rerun_context;
-        auto rerun = PreferredConsistentAnswer(
+        auto rerun = PlannedConsistentAnswer(
             problem, priority, family, *closed,
-            WithContext(threads, &rerun_context));
+            PlannedWith(threads, &rerun_context));
         ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
         EXPECT_EQ(*rerun, *ref_verdict)
             << RepairFamilyName(family) << " threads " << threads;
@@ -213,16 +220,16 @@ TEST(CancellationFuzzTest, TightDeadlineEitherCompletesOrExpiresCleanly) {
   RepairProblem problem = MustProblem(inst);
   Priority priority = RandomDagPriority(rng, problem.graph(), 0.6);
   std::unique_ptr<Query> query = MustParse("exists x . R(0, x, 0)");
-  auto reference = PreferredConsistentAnswer(problem, priority,
-                                             RepairFamily::kGlobal, *query);
+  auto reference = PlannedConsistentAnswer(problem, priority,
+                                           RepairFamily::kGlobal, *query);
   ASSERT_TRUE(reference.ok());
   for (int trial = 0; trial < 10; ++trial) {
     ExecutionContext context;
     context.SetDeadlineAfter(std::chrono::microseconds(
         rng.UniformRange(1, 2000)));
     auto result =
-        PreferredConsistentAnswer(problem, priority, RepairFamily::kGlobal,
-                                  *query, WithContext(4, &context));
+        PlannedConsistentAnswer(problem, priority, RepairFamily::kGlobal,
+                                *query, PlannedWith(4, &context));
     if (result.ok()) {
       EXPECT_EQ(*result, *reference);
     } else {
@@ -243,9 +250,9 @@ TEST(CancellationFuzzStressTest, StressAsyncCancelDuringShardedCqa) {
   RepairProblem problem = MustProblem(inst);
   Priority priority = RandomRankingPriority(rng, problem.graph(), 0.5);
   std::unique_ptr<Query> query = MustParse("exists x, y . R(1, x, y)");
-  auto reference = PreferredConsistentAnswer(problem, priority,
-                                             RepairFamily::kAll, *query,
-                                             ParallelOptions{4});
+  auto reference = PlannedConsistentAnswer(problem, priority,
+                                           RepairFamily::kAll, *query,
+                                           PlannedWith(4, nullptr));
   ASSERT_TRUE(reference.ok());
   for (int trial = 0; trial < 5; ++trial) {
     ExecutionContext context;
@@ -255,8 +262,8 @@ TEST(CancellationFuzzStressTest, StressAsyncCancelDuringShardedCqa) {
       context.RequestCancel();
     });
     auto result =
-        PreferredConsistentAnswer(problem, priority, RepairFamily::kAll,
-                                  *query, WithContext(4, &context));
+        PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
+                                *query, PlannedWith(4, &context));
     canceller.join();
     if (result.ok()) {
       EXPECT_EQ(*result, *reference);
@@ -267,8 +274,8 @@ TEST(CancellationFuzzStressTest, StressAsyncCancelDuringShardedCqa) {
     // Clean rerun on a fresh context is unaffected by the cancelled one.
     ExecutionContext rerun_context;
     auto rerun =
-        PreferredConsistentAnswer(problem, priority, RepairFamily::kAll,
-                                  *query, WithContext(4, &rerun_context));
+        PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
+                                *query, PlannedWith(4, &rerun_context));
     ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
     EXPECT_EQ(*rerun, *reference);
   }

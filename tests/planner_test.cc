@@ -17,6 +17,7 @@
 #include "cqa/planner.h"
 #include "query/normal_form.h"
 #include "query/parser.h"
+#include "query/prepared.h"
 #include "workload/generators.h"
 
 namespace prefrep {
@@ -132,6 +133,80 @@ TEST(PlannerTierTest, PlanRendering) {
   EXPECT_NE(plan.reason.find("collapsed"), std::string::npos);
   EXPECT_EQ(CqaTierName(CqaTier::kSingleRepair), "single-repair");
   EXPECT_EQ(CqaTierName(CqaTier::kEnumeration), "enumeration");
+}
+
+// -------------------------------------------------------- stage seams --
+
+TEST(PlannerSeamTest, PreparedAndPrecomputedPlanMatchThePlainCall) {
+  // A caller that compiles and plans apart from executing passes both
+  // seams; neither may change the answer or the plan that ran. One
+  // verdict and one open query per tier.
+  GeneratedInstance consistent = MakeKeyGroupsInstance(3, 1);
+  GeneratedInstance rn = MakeRnInstance(3);
+  const RepairProblem conflict_free = MustProblem(consistent);
+  const RepairProblem conflicted = MustProblem(rn);
+  std::vector<int64_t> ranks;
+  for (int v = 0; v < conflicted.graph().vertex_count(); ++v) {
+    ranks.push_back(v);
+  }
+  struct Case {
+    const RepairProblem* problem;
+    Priority priority;
+    RepairFamily family;
+    const char* closed;
+    const char* open;
+    CqaTier tier;
+  };
+  const Case cases[] = {
+      {&conflict_free, Priority::Empty(conflict_free.graph()),
+       RepairFamily::kAll, "exists x . R(x, 0)", "R(x, y)",
+       CqaTier::kSingleRepair},
+      {&conflicted, Priority::Empty(conflicted.graph()), RepairFamily::kAll,
+       "R(0, 0) or R(1, 1)", "R(x, 0) or R(x, 1)", CqaTier::kGroundFastPath},
+      {&conflicted, Priority::FromRanking(conflicted.graph(), ranks),
+       RepairFamily::kSemiGlobal, "exists x . R(x, 0)", "R(x, y)",
+       CqaTier::kEnumeration},
+  };
+  for (const Case& c : cases) {
+    for (CqaRequest request :
+         {CqaRequest::kVerdict, CqaRequest::kOpenAnswers}) {
+      const std::string text =
+          request == CqaRequest::kVerdict ? c.closed : c.open;
+      auto query = MustParse(text);
+      auto compiled = PreparedQuery::Compile(c.problem->db(), *query);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      const CqaPlan plan =
+          ExplainPlan(*c.problem, c.priority, c.family, *query, request);
+      EXPECT_EQ(plan.tier, c.tier) << text;
+      CqaPlannerOptions seams;
+      seams.prepared = &*compiled;
+      seams.precomputed_plan = &plan;
+      CqaPlan plain_ran;
+      CqaPlan seam_ran;
+      if (request == CqaRequest::kVerdict) {
+        auto plain = PlannedConsistentAnswer(*c.problem, c.priority, c.family,
+                                             *query, {}, &plain_ran);
+        auto seamed = PlannedConsistentAnswer(*c.problem, c.priority,
+                                              c.family, *query, seams,
+                                              &seam_ran);
+        ASSERT_TRUE(plain.ok() && seamed.ok()) << text;
+        EXPECT_EQ(*plain, *seamed) << text;
+      } else {
+        auto plain = PlannedConsistentAnswers(*c.problem, c.priority,
+                                              c.family, *query, {},
+                                              &plain_ran);
+        auto seamed = PlannedConsistentAnswers(*c.problem, c.priority,
+                                               c.family, *query, seams,
+                                               &seam_ran);
+        ASSERT_TRUE(plain.ok() && seamed.ok()) << text;
+        EXPECT_EQ(plain->variables, seamed->variables) << text;
+        EXPECT_EQ(plain->rows, seamed->rows) << text;
+      }
+      EXPECT_EQ(seam_ran.tier, c.tier) << text;
+      EXPECT_EQ(seam_ran.effective_family, plain_ran.effective_family);
+      EXPECT_EQ(seam_ran.ToString(), plain_ran.ToString()) << text;
+    }
+  }
 }
 
 // ------------------------------- satellite 1: conflict-free regression --

@@ -156,15 +156,16 @@ TEST(RobustnessFallbackTest, ShardedCqaUnderTinyBudgetStreamsSameVerdict) {
   auto query = MustParse("exists x . R(0, x, 1)");
   for (RepairFamily family : kAllFamilies) {
     auto reference =
-        PreferredConsistentAnswer(problem, priority, family, *query);
+        PlannedConsistentAnswer(problem, priority, family, *query);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
     ExecutionLimits limits;
     limits.component_list_budget_bytes = 1;
     ExecutionContext context(limits);
-    ParallelOptions options;
-    options.threads = 4;
-    options.context = &context;
+    CqaPlannerOptions options;
+    options.force_tier = CqaTier::kEnumeration;
+    options.parallel.threads = 4;
+    options.parallel.context = &context;
     uint64_t hits_before = 0;
     std::unique_ptr<failpoint::ScopedFailpoint> fp;
     if (failpoint::kEnabled) {
@@ -172,8 +173,8 @@ TEST(RobustnessFallbackTest, ShardedCqaUnderTinyBudgetStreamsSameVerdict) {
           "families.streaming_fallback", [] {});
       hits_before = fp->hit_count();
     }
-    auto squeezed = EnumeratedConsistentAnswer(problem, priority, family,
-                                               *query, options);
+    auto squeezed =
+        PlannedConsistentAnswer(problem, priority, family, *query, options);
     ASSERT_TRUE(squeezed.ok()) << squeezed.status().ToString();
     EXPECT_EQ(*squeezed, *reference) << RepairFamilyName(family);
     if (fp != nullptr) {
@@ -195,11 +196,11 @@ TEST(RobustnessFallbackTest, InjectedWorkerBadAllocSurfacesResourceExhausted) {
   // repairs so shards are genuinely mid-flight).
   failpoint::ScopedFailpoint fp("cqa.eval", [] { throw std::bad_alloc(); },
                                 /*skip=*/3, /*limit=*/1);
-  ParallelOptions options;
-  options.threads = 4;
-  auto result = EnumeratedConsistentAnswer(problem, priority,
-                                           RepairFamily::kAll, *query,
-                                           options);
+  CqaPlannerOptions options;
+  options.force_tier = CqaTier::kEnumeration;
+  options.parallel.threads = 4;
+  auto result = PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
+                                        *query, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
       << result.status().ToString();
@@ -215,11 +216,11 @@ TEST(RobustnessFallbackTest, InjectedWorkerThrowSurfacesInternal) {
   failpoint::ScopedFailpoint fp(
       "cqa.eval", [] { throw std::runtime_error("injected eval fault"); },
       /*skip=*/1, /*limit=*/1);
-  ParallelOptions options;
-  options.threads = 4;
-  auto result = EnumeratedConsistentAnswer(problem, priority,
-                                           RepairFamily::kAll, *query,
-                                           options);
+  CqaPlannerOptions options;
+  options.force_tier = CqaTier::kEnumeration;
+  options.parallel.threads = 4;
+  auto result = PlannedConsistentAnswer(problem, priority, RepairFamily::kAll,
+                                        *query, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal)
       << result.status().ToString();

@@ -179,7 +179,7 @@ TEST(SessionPruningRegressionTest, SumUnderRepFoldsPerGroup) {
 
 // ------------------------------------------------- cache hit/miss flow --
 
-TEST(SessionCacheTest, RepeatQueryCompilesOnceAndHitsResultCache) {
+TEST(SessionCacheTest, RepeatQueryHitsResultCache) {
   GeneratedInstance inst = MakeRnInstance(2);
   Session session(MustSnapshot(inst));
   Priority empty = Priority::Empty(session.snapshot().graph());
@@ -198,31 +198,24 @@ TEST(SessionCacheTest, RepeatQueryCompilesOnceAndHitsResultCache) {
   EXPECT_EQ(*first, *second);
 
   SessionCacheStats stats = session.cache_stats();
-  // One compile total: the second call never reached the prepared cache
-  // (the result cache answered first).
-  EXPECT_EQ(stats.prepared_misses, 1u);
-  EXPECT_EQ(stats.prepared_hits, 0u);
   EXPECT_EQ(stats.result_misses, 1u);
   EXPECT_EQ(stats.result_hits, 1u);
-  EXPECT_EQ(stats.plan_misses, 1u);
   EXPECT_NE(stats.ToString().find("result 1/1"), std::string::npos);
 }
 
-TEST(SessionCacheTest, PreparedMasterIsSharedAcrossFamilies) {
+TEST(SessionCacheTest, EachFamilyIsItsOwnResultEntry) {
   GeneratedInstance inst = MakeRnInstance(2);
   Session session(MustSnapshot(inst));
   Priority empty = Priority::Empty(session.snapshot().graph());
   auto query = MustParse("exists x, y . R(x, y)");
 
-  // Five result-cache keys (the family differs), one compiled query.
+  // Five result-cache keys: the family differs.
   for (RepairFamily family : kAllFamilies) {
     auto verdict = session.Ask(*query, empty, family, {});
     ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
     EXPECT_EQ(*verdict, CqaVerdict::kCertainlyTrue);
   }
   SessionCacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.prepared_misses, 1u);
-  EXPECT_EQ(stats.prepared_hits, 4u);
   EXPECT_EQ(stats.result_misses, 5u);
   EXPECT_EQ(stats.result_hits, 0u);
 }
@@ -276,23 +269,6 @@ TEST(SessionCacheTest, ForcedTierBypassesResultCache) {
   SessionCacheStats stats = session.cache_stats();
   EXPECT_EQ(stats.result_hits, 0u);
   EXPECT_EQ(stats.result_misses, 0u);
-  EXPECT_EQ(stats.plan_hits + stats.plan_misses, 0u);
-}
-
-TEST(SessionCacheTest, DisabledCacheStillAnswersCorrectly) {
-  GeneratedInstance inst = MakeRnInstance(2);
-  SessionOptions options;
-  options.enable_cache = false;
-  Session session(MustSnapshot(inst), options);
-  Priority empty = Priority::Empty(session.snapshot().graph());
-  auto query = MustParse("exists x, y . R(x, y)");
-  auto first = session.Ask(*query, empty, RepairFamily::kAll, {});
-  auto second = session.Ask(*query, empty, RepairFamily::kAll, {});
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*first, *second);
-  SessionCacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.result_misses + stats.result_hits, 0u);
 }
 
 TEST(SessionCacheTest, EvictionKeepsAnswersCorrectUnderTinyCap) {
@@ -324,10 +300,6 @@ TEST(SessionCacheTest, EvictionKeepsAnswersCorrectUnderTinyCap) {
   ASSERT_GT(session.cache_stats().result_misses, 0u);
   session.ClearCache();
   SessionCacheStats cleared = session.cache_stats();
-  EXPECT_EQ(cleared.prepared_hits, 0u);
-  EXPECT_EQ(cleared.prepared_misses, 0u);
-  EXPECT_EQ(cleared.plan_hits, 0u);
-  EXPECT_EQ(cleared.plan_misses, 0u);
   EXPECT_EQ(cleared.result_hits, 0u);
   EXPECT_EQ(cleared.result_misses, 0u);
   bool hit = true;
@@ -337,6 +309,131 @@ TEST(SessionCacheTest, EvictionKeepsAnswersCorrectUnderTinyCap) {
   EXPECT_FALSE(hit);
   EXPECT_EQ(session.cache_stats().result_misses, 1u);
   EXPECT_EQ(*verdict, expected[0]);
+}
+
+TEST(SessionCacheTest, MalformedQueryFailsOnEveryTier) {
+  // The session compiles nothing before planning, so each tier validates
+  // the query itself: an unknown relation and a wrong arity must fail
+  // with the planner's own status on every tier, and never be cached.
+  const std::string closed[] = {"S(0, 0)", "R(0, 0, 0)"};
+  const std::string open[] = {"S(x, y)", "R(x)"};
+  for (CqaTier tier : {CqaTier::kSingleRepair, CqaTier::kGroundFastPath,
+                       CqaTier::kEnumeration}) {
+    // Tier 0 needs a conflict-free snapshot, tier 1 the empty priority
+    // under Rep, tier 2 S-Rep under a total ranking.
+    GeneratedInstance inst = tier == CqaTier::kSingleRepair
+                                 ? MakeKeyGroupsInstance(3, 1)
+                                 : MakeRnInstance(3);
+    Session session(MustSnapshot(inst));
+    const ConflictGraph& graph = session.snapshot().graph();
+    const bool ranked = tier == CqaTier::kEnumeration;
+    std::vector<int64_t> ranks;
+    for (int v = 0; v < graph.vertex_count(); ++v) ranks.push_back(v);
+    const Priority priority = ranked ? Priority::FromRanking(graph, ranks)
+                                     : Priority::Empty(graph);
+    const RepairFamily family =
+        ranked ? RepairFamily::kSemiGlobal : RepairFamily::kAll;
+    const RepairProblem& problem = session.snapshot().problem();
+    for (int i = 0; i < 2; ++i) {
+      auto closed_query = MustParse(closed[i]);
+      auto open_query = MustParse(open[i]);
+      auto expected_verdict =
+          PlannedConsistentAnswer(problem, priority, family, *closed_query);
+      auto expected_rows =
+          PlannedConsistentAnswers(problem, priority, family, *open_query);
+      ASSERT_FALSE(expected_verdict.ok()) << closed[i];
+      ASSERT_FALSE(expected_rows.ok()) << open[i];
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const uint64_t misses = session.cache_stats().result_misses;
+        CqaPlan executed;
+        bool hit = true;
+        auto verdict =
+            session.Ask(*closed_query, priority, family, {}, &executed, &hit);
+        ASSERT_FALSE(verdict.ok()) << closed[i];
+        EXPECT_EQ(verdict.status().code(), expected_verdict.status().code())
+            << closed[i] << ": " << verdict.status().ToString();
+        EXPECT_EQ(executed.tier, tier) << closed[i];
+        EXPECT_FALSE(hit);
+        auto rows = session.Answers(*open_query, priority, family, {},
+                                    &executed, &hit);
+        ASSERT_FALSE(rows.ok()) << open[i];
+        EXPECT_EQ(rows.status().code(), expected_rows.status().code())
+            << open[i] << ": " << rows.status().ToString();
+        EXPECT_EQ(executed.tier, tier) << open[i];
+        EXPECT_FALSE(hit);
+        EXPECT_EQ(session.cache_stats().result_misses, misses + 2);
+      }
+    }
+  }
+}
+
+// ------------------------------------------ priorities that do not fit --
+
+TEST(SessionPriorityTest, DefaultPriorityRepairsAsTheEmptyOne) {
+  GeneratedInstance inst = MakeRnInstance(3);
+  Session session(MustSnapshot(inst));
+  auto repairs = session.Repairs(Priority(), RepairFamily::kCommon);
+  ASSERT_TRUE(repairs.ok()) << repairs.status().ToString();
+  auto expected = session.Repairs(Priority::Empty(session.snapshot().graph()),
+                                  RepairFamily::kCommon);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(*repairs, *expected);
+  EXPECT_EQ(repairs->size(), 8u);  // all 2^3 repairs of r_3
+}
+
+TEST(SessionPriorityTest, DefaultPriorityForcedEnumerationAnswersAsEmpty) {
+  GeneratedInstance inst = MakeRnInstance(3);
+  Session session(MustSnapshot(inst));
+  auto query = MustParse("R(0, 0)");
+  EvalOptions forced;
+  forced.force_tier = CqaTier::kEnumeration;
+  auto verdict =
+      session.Ask(*query, Priority(), RepairFamily::kSemiGlobal, forced);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  const Priority empty = Priority::Empty(session.snapshot().graph());
+  auto expected = session.Ask(*query, empty, RepairFamily::kSemiGlobal, forced);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(*verdict, *expected);
+  EXPECT_EQ(*verdict, CqaVerdict::kUndetermined);
+}
+
+TEST(SessionPriorityTest, PriorityOverAnotherGraphFailsWithInvalidArgument) {
+  GeneratedInstance inst = MakeRnInstance(3);
+  Session session(MustSnapshot(inst));
+  GeneratedInstance other = MakeRnInstance(5);
+  std::shared_ptr<const Snapshot> other_snapshot = MustSnapshot(other);
+  std::vector<int64_t> ranks;
+  for (int v = 0; v < other_snapshot->graph().vertex_count(); ++v) {
+    ranks.push_back(v);
+  }
+  const Priority foreign =
+      Priority::FromRanking(other_snapshot->graph(), ranks);
+  auto query = MustParse("R(0, 0)");
+  auto open = MustParse("R(x, y)");
+  const RepairFamily family = RepairFamily::kSemiGlobal;
+  EXPECT_EQ(session.Ask(*query, foreign, family).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.Answers(*open, foreign, family).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.Aggregate("R", "B", AggregateFunction::kSum, foreign,
+                              family)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.Repairs(foreign, family).status().code(),
+            StatusCode::kInvalidArgument);
+  SessionRequest request;
+  request.query = query->Clone();
+  request.priority = foreign;
+  request.family = family;
+  auto id = session.Submit(std::move(request));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto response = session.Wait(*id);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->verdict.status().code(), StatusCode::kInvalidArgument);
+  // Rejected before the cache is consulted: neither a hit nor a miss.
+  SessionCacheStats stats = session.cache_stats();
+  EXPECT_EQ(stats.result_hits + stats.result_misses, 0u);
 }
 
 // ------------------------------------ concurrent sessions, one snapshot --
